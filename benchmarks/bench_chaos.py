@@ -4,7 +4,7 @@ Runs the same ``netsim.overall-gains-client`` task set three ways:
 
 1. **clean serial** — the ground truth, no fault tolerance engaged;
 2. **tolerant serial** — fault tolerance armed but nothing injected,
-   which isolates the capture-path overhead of the recovery machinery;
+   which isolates the overhead of the armed recovery machinery;
 3. **chaotic parallel** — process backend with seeded chaos injection
    (raised exceptions, SIGKILLed workers, one deliberately poisoned
    task) plus retries, timeouts and quarantine.

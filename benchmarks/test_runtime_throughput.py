@@ -58,7 +58,7 @@ def _experiment():
 
     # -- equivalence: blockwise chain vs one-shot process --------------
     one_shot = relay.process(x)           # designs the kernel (one miss)
-    chain = relay.make_siso_chain(block_size=1024)   # same link: cache hit
+    chain = relay.make_chain(block_size=1024)   # same link: cache hit
     chain.reset()
     parts = [chain.process_block(x[i:i + 613]) for i in range(0, FRAME, 613)]
     parts.append(chain.flush())

@@ -42,7 +42,7 @@ def main():
     frame = make_reference_frame(params, n_symbols=24, rng=7)
 
     # Arm A: the healthy relay chain.
-    healthy = relay.make_siso_chain()
+    healthy = relay.make_chain()
     probes_a = ProbeSet(params, reference=frame, policy=ALWAYS,
                         budget=cfg.latency)
     summary_a = probe_run(healthy, probes_a, frame, params)
@@ -50,7 +50,7 @@ def main():
     # Arm B: identical chain, but the analog line drifts between the
     # CNF filter and the amplifier — downstream of the post-cnf tap,
     # upstream of the post-amplification tap.
-    base = relay.make_siso_chain()
+    base = relay.make_chain()
     drift = TapDriftStage(FaultSchedule(99), params.bandwidth_hz,
                           amp_sigma_db_per_sqrt_s=60.0,
                           phase_sigma_rad_per_sqrt_s=60.0)

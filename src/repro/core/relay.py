@@ -9,20 +9,20 @@ Two views of the same machine:
   latency budget is blown) the ISI penalty.  This is what the
   throughput experiments consume.
 * **sample level** — :meth:`FastForwardRelay.process` pushes an IQ
-  stream through the realised digital pre-filter, analog CNF line,
-  amplification and CFO restore, producing the waveform the relay
-  would transmit.  Integration tests run real PPDUs through it.
+  stream through the realised CNF filter, amplification and CFO
+  restore, producing the waveform the relay would transmit.
+  Integration tests run real PPDUs through it.
 
 The sample-level path runs on the streaming runtime
 (:mod:`repro.runtime`): a configured relay *is* a
 :class:`repro.runtime.chain.Chain` of stages — CFO correct, an
 overlap-save spectral stage with a cached kernel, amplification, CFO
 restore — that fixed-size blocks are pumped through with state
-carry-over.  :meth:`FastForwardRelay.process` and
-:meth:`FastForwardRelay.process_mimo` are thin one-shot wrappers over
-that chain; :meth:`FastForwardRelay.make_siso_chain` /
-:meth:`FastForwardRelay.make_mimo_chain` hand the chain itself to
-streaming callers.
+carry-over.  :meth:`FastForwardRelay.process` is a thin one-shot
+wrapper over that chain and :meth:`FastForwardRelay.make_chain` hands
+the chain itself to streaming callers.  The configured link fixes the
+stream shape both take: a 1-D stream on a SISO link, ``(K, n)`` on a
+K-antenna MIMO link.
 """
 
 from __future__ import annotations
@@ -463,71 +463,77 @@ class FastForwardRelay:
 
         return matrix_response
 
-    def _build_chain(self, response_fn, kernel_tag, sample_rate_hz, cfo_hz,
-                     block_size, name):
+    def _sample_mode(self):
+        """The configured link's mode; sample-level calls need one."""
+        if self._mode is None:
+            raise RuntimeError(
+                "sample-level processing requires a configured link")
+        return self._mode
+
+    def _build_chain(self, mode, sample_rate_hz, cfo_hz, block_size):
         from repro.runtime.chain import Chain, GainStage
         from repro.runtime.spectral import FrequencyResponseStage
         from repro.runtime.stage import CfoCorrectStage, CfoRestoreStage
 
+        response_fn = self._siso_response_fn() if mode == "siso" \
+            else self._mimo_response_fn()
         stages = []
         restorer = CfoRestorer(cfo_hz, sample_rate_hz) if cfo_hz else None
         if restorer is not None:
             stages.append(CfoCorrectStage(restorer))
         stages.append(FrequencyResponseStage(
             response_fn, sample_rate_hz, block_size=block_size,
-            cache_key=(self._link_token, kernel_tag), name="cnf-filter"))
+            cache_key=(self._link_token, mode), name="cnf-filter"))
         stages.append(GainStage(self.amplification_db, name="amplify"))
         if restorer is not None:
             stages.append(CfoRestoreStage(restorer))
-        return Chain(stages, name=name)
+        return Chain(stages, name=f"ff-relay-{mode}")
 
-    def make_siso_chain(self, sample_rate_hz=None, cfo_hz=0.0,
-                        block_size=4096):
+    def make_chain(self, sample_rate_hz=None, cfo_hz=0.0, block_size=4096):
         """The relay as a streaming :class:`repro.runtime.chain.Chain`.
 
-        SISO only.  Stages, in order: CFO correct (when ``cfo_hz`` is
-        nonzero), the realised CNF filter (digital pre-filter cascaded
-        with the analog line, as one cached overlap-save kernel),
-        amplification, CFO restore.  Pump fixed-size blocks through
-        ``process_block`` and ``flush`` at end of stream; ``reset``
-        makes the chain reusable for the next frame.  The spectral
-        kernel is cached per configured link, so building many chains
-        (or short-lived ones per frame) stays cheap.
+        Stages, in order: CFO correct (when ``cfo_hz`` is nonzero), the
+        realised CNF filter as one cached overlap-save kernel,
+        amplification, CFO restore.  On a SISO link the filter is the
+        digital pre-filter cascaded with the analog line and blocks are
+        1-D.  On a K-antenna MIMO link it applies the per-bin
+        ``exp(j*phi_i) * F0_i`` matrix filters as one streaming matrix
+        convolution over ``(K, n)`` blocks, and the CFO stages rotate
+        all K chains with a single broadcast multiply (the relay has one
+        oscillator).  Pump blocks through ``process_block`` and
+        ``flush`` at end of stream; ``reset`` makes the chain reusable
+        for the next frame.  The spectral kernel is cached per
+        configured link, so building many chains (or short-lived ones
+        per frame) stays cheap.
         """
-        if self._mode != "siso":
-            raise RuntimeError("sample-level processing requires a SISO link")
+        mode = self._sample_mode()
         sample_rate_hz = sample_rate_hz or self.config.params.bandwidth_hz
-        return self._build_chain(self._siso_response_fn(), "siso",
-                                 sample_rate_hz, cfo_hz, block_size,
-                                 name="ff-relay-siso")
+        return self._build_chain(mode, sample_rate_hz, cfo_hz, block_size)
 
-    def make_mimo_chain(self, sample_rate_hz=None, cfo_hz=0.0,
-                        block_size=4096):
-        """The MIMO relay as a streaming chain over ``(K, n)`` blocks.
-
-        Stages mirror :meth:`make_siso_chain`; the spectral stage
-        applies the per-bin ``exp(j*phi_i) * F0_i`` matrix filters as
-        one streaming matrix convolution, and the CFO stages rotate all
-        K chains with a single broadcast multiply (the relay has one
-        oscillator).
-        """
-        if self._mode != "mimo":
-            raise RuntimeError(
-                "sample-level MIMO processing requires a MIMO link")
-        sample_rate_hz = sample_rate_hz or self.config.params.bandwidth_hz
-        return self._build_chain(self._mimo_response_fn(), "mimo",
-                                 sample_rate_hz, cfo_hz, block_size,
-                                 name="ff-relay-mimo")
-
-    def _memoised_chain(self, mode, sample_rate_hz, cfo_hz, block_size):
-        key = (mode, float(sample_rate_hz), float(cfo_hz), int(block_size))
+    def _memoised_chain(self, sample_rate_hz, cfo_hz, block_size):
+        # Reconfiguring clears the memo, so the key needs no link mode.
+        key = (float(sample_rate_hz), float(cfo_hz), int(block_size))
         chain = self._chains.get(key)
         if chain is None:
-            maker = self.make_siso_chain if mode == "siso" \
-                else self.make_mimo_chain
-            chain = maker(sample_rate_hz, cfo_hz, block_size)
+            chain = self._build_chain(self._mode, sample_rate_hz, cfo_hz,
+                                      block_size)
             self._chains[key] = chain
         return chain
+
+    def _coerce_stream(self, iq_stream):
+        """The received samples, shaped as the configured link expects."""
+        if self._mode == "siso":
+            x = np.asarray(iq_stream, dtype=complex)
+            if x.ndim != 1:
+                raise ValueError(
+                    f"a SISO relay takes a 1-D stream, got shape {x.shape}")
+            return x
+        x = np.atleast_2d(np.asarray(iq_stream, dtype=complex))
+        k = self._mimo_f0.shape[1]
+        if x.shape[0] != k:
+            raise ValueError(
+                f"expected {k} receive streams, got {x.shape[0]}")
+        return x
 
     @staticmethod
     def _admit_stream(x, supervisor):
@@ -596,19 +602,31 @@ class FastForwardRelay:
                 telemetry=None, probes=None):
         """Produce the relay's transmit waveform for a received stream.
 
-        SISO only.  Applies, in order: CFO correction, the digital
-        pre-filter, the analog CNF line, amplification, and CFO restore.
-        Self-interference is assumed cancelled (the cancellation
-        subpackage demonstrates that separately); the processing delay
-        is represented by the configured latency budget, which callers
-        convert to channel delay when composing paths.
+        The configured link fixes the input shape: a SISO relay takes a
+        1-D stream, a K-antenna MIMO relay a ``(K, n)`` array of its K
+        receive streams (any other shape raises ``ValueError``; an
+        unconfigured relay raises ``RuntimeError``).  Applies, in
+        order: CFO correction, the realised CNF filter, amplification,
+        and CFO restore.  On a SISO link the filter is the digital
+        pre-filter cascaded with the analog line; on a MIMO link it is
+        the per-subcarrier unitaries ``exp(j*phi_i) * F0_i`` applied as
+        a streaming matrix convolution.  Self-interference is assumed
+        cancelled (the cancellation subpackage demonstrates that
+        separately); the processing delay is represented by the
+        configured latency budget, which callers convert to channel
+        delay when composing paths.
 
-        A thin one-shot wrapper over :meth:`make_siso_chain`: the chain
-        (and its cached spectral kernel) is reused across calls, so
-        repeated frames skip the per-call response-grid recomputation
-        entirely.  Pass a :class:`repro.runtime.chain.ChainTrace` as
-        ``trace`` to collect per-stage wall time, throughput and in/out
-        power.
+        Note: the MIMO filters are the *ideal* per-subcarrier filters —
+        no latency-constrained decomposition is applied, so tone-to-tone
+        filter variation lengthens the effective channel.  The
+        prototype bounds this with the same 4-tap structure; here it is
+        a functional model, fine away from the deepest dead spots.
+
+        A thin one-shot wrapper over :meth:`make_chain`: the chain (and
+        its cached spectral kernel) is reused across calls, so repeated
+        frames skip the per-call response-grid recomputation entirely.
+        Pass a :class:`repro.runtime.chain.ChainTrace` as ``trace`` to
+        collect per-stage wall time, throughput and in/out power.
 
         ``faults`` optionally prepends impairment stages from
         :mod:`repro.faults` (applied in order at the relay's receive
@@ -635,133 +653,28 @@ class FastForwardRelay:
         input — i.e. after the fault stages, which model receive-side
         impairments — ``post-cnf`` and ``post-amplification`` after the
         matching stages), and the set's ``probes.*`` aggregates are
-        published to the telemetry collector after the run.
+        published to the telemetry collector after the run.  MIMO
+        blocks are probed on stream 0.
         """
-        if self._mode != "siso":
-            raise RuntimeError("sample-level processing requires a SISO link")
+        mode = self._sample_mode()
         sample_rate_hz = sample_rate_hz or self.config.params.bandwidth_hz
         tel = telemetry if telemetry is not None else current_collector()
         if tel.enabled and trace is None:
             trace = self._auto_trace(tel)
-        x = np.asarray(iq_stream, dtype=complex)
-        x = self._admit_stream(x, supervisor)
-        chain = self._memoised_chain("siso", sample_rate_hz, cfo_hz,
-                                     block_size)
+        x = self._admit_stream(self._coerce_stream(iq_stream), supervisor)
+        n = x.shape[-1]
+        chain = self._memoised_chain(sample_rate_hz, cfo_hz, block_size)
         run_chain = chain if probes is None else probes.instrument(
             chain, sample_rate_hz=sample_rate_hz)
-        with tel.span("relay.process", mode="siso"):
+        with tel.span("relay.process", mode=mode):
             y = self._run_with_faults(run_chain, faults, x, trace)
             if supervisor is not None:
                 clip_fraction, residual_si_db = self._harvest_health(faults)
                 y = supervisor.guard_block(
-                    y, duration_s=x.size / sample_rate_hz,
+                    y, duration_s=n / sample_rate_hz,
                     clip_fraction=clip_fraction,
                     residual_si_db=residual_si_db)
-        tel.counter("relay.samples", mode="siso").inc(int(x.size))
-        if probes is not None:
-            probes.publish(tel)
-        return y
-
-    def process_batch(self, iq_streams, sample_rate_hz=None, cfo_hz=0.0, *,
-                      block_size=4096, telemetry=None):
-        """Relay many *independent* SISO frames in one batched pass.
-
-        ``iq_streams`` is a sequence of 1-D sample arrays, one frame per
-        entry.  Equal-length frames are stacked into ``(batch, n)``
-        blocks and pumped through the streaming chain once per group, so
-        the FFT-heavy CNF filtering and the CFO rotations amortise
-        across the whole block instead of paying Python/FFT overhead per
-        frame.  Every stage processes stacked rows independently (the
-        chain is reset between groups, exactly as :meth:`process` resets
-        it between calls), so the returned list is bitwise identical to
-        ``[self.process(f, ...) for f in iq_streams]``.
-
-        The stateful per-frame hooks of :meth:`process` — ``faults``
-        (whose schedules advance in absolute stream position), a
-        ``supervisor`` (whose remedy evolves frame to frame) and
-        ``probes`` — are deliberately not offered here: their state
-        depends on frame *order*, which a batched pass does not have.
-        Use :meth:`process` when any of those are in play.
-        """
-        if self._mode != "siso":
-            raise RuntimeError("sample-level processing requires a SISO link")
-        sample_rate_hz = sample_rate_hz or self.config.params.bandwidth_hz
-        tel = telemetry if telemetry is not None else current_collector()
-        frames = [np.asarray(f, dtype=complex) for f in iq_streams]
-        for f in frames:
-            if f.ndim != 1:
-                raise ValueError(
-                    f"each frame must be a 1-D stream, got shape {f.shape}")
-            ensure_finite(f, "iq_stream")
-        chain = self._memoised_chain("siso", sample_rate_hz, cfo_hz,
-                                     block_size)
-        by_len = {}
-        for i, f in enumerate(frames):
-            by_len.setdefault(f.size, []).append(i)
-        outputs = [None] * len(frames)
-        total = 0
-        # Row-chunk large groups: a (batch, fft) working set past a few
-        # MB thrashes cache and erases the overhead win.
-        max_rows = 32
-        with tel.span("relay.process", mode="siso-batch"):
-            for n, idxs in by_len.items():
-                for start in range(0, len(idxs), max_rows):
-                    part = idxs[start : start + max_rows]
-                    chain.reset()
-                    y = chain.run(np.stack([frames[i] for i in part]))
-                    for row, i in enumerate(part):
-                        outputs[i] = y[row]
-                total += n * len(idxs)
-        tel.counter("relay.samples", mode="siso").inc(int(total))
-        return outputs
-
-    def process_mimo(self, iq_streams, sample_rate_hz=None, cfo_hz=0.0, *,
-                     block_size=4096, trace=None, faults=None,
-                     supervisor=None, telemetry=None, probes=None):
-        """Produce the K relay transmit streams for K received streams.
-
-        MIMO only.  Applies the per-subcarrier unitary filters
-        ``exp(j*phi_i) * F0_i`` as a streaming matrix convolution, then
-        amplification, with optional CFO correct/restore around the
-        processing.  ``iq_streams`` is (K, n_samples).  Like
-        :meth:`process`, a one-shot wrapper over :meth:`make_mimo_chain`
-        accepting the same ``trace``, ``faults``, ``supervisor`` and
-        ``telemetry`` keywords.
-
-        Note: unlike the SISO path, these are the *ideal* per-subcarrier
-        filters — no latency-constrained decomposition is applied, so
-        tone-to-tone filter variation lengthens the effective channel.
-        The prototype bounds this with the same 4-tap structure; here it
-        is a functional model, fine away from the deepest dead spots.
-        ``probes`` attaches IQ taps exactly as in :meth:`process`
-        (MIMO blocks are probed on stream 0).
-        """
-        if self._mode != "mimo":
-            raise RuntimeError(
-                "sample-level MIMO processing requires a MIMO link")
-        sample_rate_hz = sample_rate_hz or self.config.params.bandwidth_hz
-        tel = telemetry if telemetry is not None else current_collector()
-        if tel.enabled and trace is None:
-            trace = self._auto_trace(tel)
-        x = np.atleast_2d(np.asarray(iq_streams, dtype=complex))
-        k = self._mimo_f0.shape[1]
-        if x.shape[0] != k:
-            raise ValueError(
-                f"expected {k} receive streams, got {x.shape[0]}")
-        x = self._admit_stream(x, supervisor)
-        chain = self._memoised_chain("mimo", sample_rate_hz, cfo_hz,
-                                     block_size)
-        run_chain = chain if probes is None else probes.instrument(
-            chain, sample_rate_hz=sample_rate_hz)
-        with tel.span("relay.process", mode="mimo"):
-            y = self._run_with_faults(run_chain, faults, x, trace)
-            if supervisor is not None:
-                clip_fraction, residual_si_db = self._harvest_health(faults)
-                y = supervisor.guard_block(
-                    y, duration_s=x.shape[-1] / sample_rate_hz,
-                    clip_fraction=clip_fraction,
-                    residual_si_db=residual_si_db)
-        tel.counter("relay.samples", mode="mimo").inc(int(x.shape[-1]))
+        tel.counter("relay.samples", mode=mode).inc(int(n))
         if probes is not None:
             probes.publish(tel)
         return y

@@ -8,23 +8,22 @@ arbitrary JSON-able trees with numpy arrays at the leaves: arrays are
 stored as npz members, the remaining structure as one JSON document, so
 a cached result round-trips bit-identically (dtype, shape and value).
 
-Writes are atomic (temp file + ``os.replace``) so a sweep killed
-mid-store never leaves a corrupt entry — at worst the entry is absent
-and the task re-runs on resume.  Hit/miss/store/invalidation counters
-are kept per cache instance.
+Writes are atomic (:func:`repro.utils.atomic.atomic_replace`) so a
+sweep killed mid-store never leaves a corrupt entry — at worst the
+entry is absent and the task re-runs on resume.  Hit/miss/store/
+invalidation counters are kept per cache instance.
 """
 
 from __future__ import annotations
 
-import io
 import json
-import os
-import tempfile
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from repro.utils.atomic import atomic_replace
 
 #: Default cache directory, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -169,19 +168,8 @@ class ResultCache:
 
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        buf = io.BytesIO()
-        np.savez(buf, **members)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(buf.getvalue())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        with atomic_replace(path) as tmp, open(tmp, "wb") as fh:
+            np.savez(fh, **members)
         self.stats.stores += 1
 
     def invalidate(self, fn=None):

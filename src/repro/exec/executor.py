@@ -57,7 +57,6 @@ import time
 from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
-    FIRST_EXCEPTION,
     BrokenExecutor,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
@@ -231,24 +230,6 @@ def last_sweep_stats():
     return _LAST_STATS[-1] if _LAST_STATS else None
 
 
-def _execute_item(item, chaos=None):
-    """Run one ``(index, module, fn_name, params, seed, attempt)`` unit.
-
-    The defining module is imported first so spawned processes populate
-    the task registry before resolving the function name.  With a chaos
-    plan, the seeded injection for (task index, attempt) fires before
-    the task function runs.
-    """
-    index, module, fn_name, params, seed, attempt = item
-    importlib.import_module(module)
-    fn, _ = resolve_task_fn(fn_name)
-    if chaos is not None:
-        chaos_injection.maybe_inject(chaos, index, attempt)
-    if seed is None:
-        return index, fn(**params)
-    return index, fn(**params, rng=np.random.default_rng(seed))
-
-
 def _portable_error(exc):
     """``exc`` if it survives pickling, else a summarising RuntimeError.
 
@@ -264,26 +245,39 @@ def _portable_error(exc):
 
 
 def _capture_item(item, chaos=None):
-    """Run one item, capturing failure instead of raising.
+    """Run one ``(index, module, fn_name, params, seed, attempt)`` unit.
 
-    Returns ``(index, ("ok", value))`` or ``(index, ("err", exc))`` so
-    one raising task cannot take down its chunkmates — the parent's
-    ledger decides retry/quarantine per task.
+    The defining module is imported first so spawned processes populate
+    the task registry before resolving the function name.  With a chaos
+    plan, the seeded injection for (task index, attempt) fires before
+    the task function runs.
+
+    Failure is captured instead of raised: returns
+    ``(index, ("ok", value))`` or ``(index, ("err", exc))`` so one
+    raising task cannot take down its chunkmates — the parent's ledger
+    decides retry/quarantine per task.
     """
+    index, module, fn_name, params, seed, attempt = item
     try:
-        _, value = _execute_item(item, chaos)
-        return item[0], ("ok", value)
+        importlib.import_module(module)
+        fn, _ = resolve_task_fn(fn_name)
+        if chaos is not None:
+            chaos_injection.maybe_inject(chaos, index, attempt)
+        if seed is None:
+            return index, ("ok", fn(**params))
+        return index, ("ok", fn(**params, rng=np.random.default_rng(seed)))
     except Exception as exc:
-        return item[0], ("err", _portable_error(exc))
+        return index, ("err", _portable_error(exc))
 
 
-def _run_chunk(items, collect=False, shard=None, capture=False, chaos=None):
+def _run_chunk(items, collect=False, shard=None, chaos=None):
     """Execute one chunk; returns ``(results, telemetry_payload)``.
 
-    Runs in a worker (thread or process).  ``capture`` switches
-    per-item results to tagged outcomes (see :func:`_capture_item`)
-    for the fault-tolerant dispatcher; without it a raising task
-    propagates out of the chunk (the legacy fail-fast contract).
+    Runs in a worker (thread or process), or inline on the serial
+    rung.  Per-item results are tagged outcomes (see
+    :func:`_capture_item`): a raising task never takes its chunkmates
+    down, and the dispatcher's ledger decides whether it is retried,
+    quarantined or re-raised.
 
     When ``collect`` is set the chunk gets its own
     :class:`~repro.telemetry.TelemetryCollector`, installed
@@ -293,23 +287,16 @@ def _run_chunk(items, collect=False, shard=None, capture=False, chaos=None):
     merged back in the parent in deterministic task order.
     """
     if not collect:
-        if capture:
-            return [_capture_item(item, chaos) for item in items], None
-        return [_execute_item(item, chaos) for item in items], None
+        return [_capture_item(item, chaos) for item in items], None
     collector = TelemetryCollector(origin=f"shard-{shard}")
     out = []
     with use_collector(collector), \
             collector.span("exec.shard", shard=shard, tasks=len(items)):
         for item in items:
             fn_name = item[2]
-            if capture:
-                pair, wall_s = timed_call(_capture_item, item, chaos)
-                ok = pair[1][0] == "ok"
-            else:
-                pair, wall_s = timed_call(_execute_item, item, chaos)
-                ok = True
+            pair, wall_s = timed_call(_capture_item, item, chaos)
             out.append(pair)
-            if ok:
+            if pair[1][0] == "ok":
                 collector.counter("exec.tasks.completed", fn=fn_name).inc()
             else:
                 collector.counter("exec.tasks.failed", fn=fn_name).inc()
@@ -511,7 +498,7 @@ class _Dispatcher:
                         chunk, pickle.HIGHEST_PROTOCOL)))
             try:
                 future = pool.submit(_run_chunk, chunk, self.collect, shard,
-                                     True, self.chaos)
+                                     self.chaos)
             except (BrokenExecutor, RuntimeError):
                 # The pool broke between harvests; the break handler
                 # requeues in-flight work and respawns or degrades.
@@ -735,8 +722,14 @@ class _Dispatcher:
         while self.queue and not self._fatal:
             chunk = self.queue.popleft()
             shard = next(self._shard)
-            result = _run_chunk(chunk, self.collect, shard, True, self.chaos)
-            self._harvest(shard, chunk, result)
+            out, payload = _run_chunk(chunk, self.collect, shard, self.chaos)
+            if not self.payloads:
+                # Serial shards finish in shard order: with nothing
+                # earlier pending, merge now rather than hold every
+                # shard's spans until the sweep ends.
+                self.tel.merge(payload)
+                payload = None
+            self._harvest(shard, chunk, (out, payload))
 
 
 def run_sweep(tasks, jobs=None, backend=None, cache=None, checkpoint=None,
@@ -786,7 +779,6 @@ def run_sweep(tasks, jobs=None, backend=None, cache=None, checkpoint=None,
         policy = RetryPolicy.resolve(max_retries=max_retries,
                                      task_timeout=task_timeout,
                                      quarantine=quarantine, chaos=chaos)
-    tolerant = policy.enabled or chaos is not None
 
     stats = SweepStats(total=len(tasks), jobs=jobs, backend=backend,
                        cache=cache)
@@ -863,17 +855,10 @@ def run_sweep(tasks, jobs=None, backend=None, cache=None, checkpoint=None,
         with tel.span("exec.sweep", backend=backend, jobs=jobs):
             if backend == "serial" or jobs == 1 or len(pending) <= 1:
                 stats.backend = "serial" if jobs == 1 else backend
-                if tolerant:
-                    dispatcher = _Dispatcher(
-                        "serial", 1, policy, chaos, tel, collect, stats,
-                        _complete, _quarantine, _fn_of)
-                    dispatcher.run([[item] for item in pending])
-                else:
-                    for shard, item in enumerate(pending):
-                        out, payload = _run_chunk([item], collect, shard)
-                        tel.merge(payload)
-                        for index, value in out:
-                            _complete(index, value)
+                dispatcher = _Dispatcher(
+                    "serial", 1, policy, chaos, tel, collect, stats,
+                    _complete, _quarantine, _fn_of)
+                dispatcher.run([[item] for item in pending])
                 stats.chunks = len(pending)
             else:
                 size = _resolve_chunk_size(len(pending), jobs, chunk_size)

@@ -21,9 +21,10 @@ printing the per-metric diagnosis.
 from __future__ import annotations
 
 import json
-import os
 
 from dataclasses import dataclass, field
+
+from repro.utils.atomic import atomic_replace
 
 #: On-disk schema version (bumped on incompatible layout changes).
 BASELINE_VERSION = 1
@@ -103,11 +104,10 @@ class ProbeBaseline:
         payload = {"version": self.version, "config": self.config,
                    "metrics": {k: self.metrics[k]
                                for k in sorted(self.metrics)}}
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with atomic_replace(path) as tmp, \
+                open(tmp, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        os.replace(tmp, path)
         return path
 
 

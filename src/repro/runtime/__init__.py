@@ -18,8 +18,8 @@ the reproduction the same architecture:
 * :mod:`repro.runtime.stage` — adapters wrapping the existing CFO
   restorer, streaming FIRs and the causal digital canceller as stages.
 
-The batch entry points (:meth:`repro.core.relay.FastForwardRelay.
-process`, :meth:`~repro.core.relay.FastForwardRelay.process_mimo`,
+The one-shot entry points (:meth:`repro.core.relay.FastForwardRelay.
+process` for SISO and MIMO links alike,
 :func:`repro.dsp.spectrum.apply_frequency_response`) are thin wrappers
 over this runtime, so every existing caller exercises the same code the
 streaming path uses.

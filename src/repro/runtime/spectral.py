@@ -70,8 +70,10 @@ class FrequencyResponseStage(Stage):
         self.fft_size = next_pow2(max(2 * length, length - 1 + block_size))
         self.hop = self.fft_size - (length - 1)
         self._spectrum = self.kernel.spectrum(self.fft_size)
-        self._streams = self._spectrum.shape[0] if self.kernel.is_matrix \
-            else None
+        # Leading (non-sample) shape of every block: () for a scalar
+        # response's 1-D stream, (streams,) for a matrix response.
+        self._lead = (self._spectrum.shape[0],) if self.kernel.is_matrix \
+            else ()
         self.reset()
 
     @property
@@ -87,47 +89,28 @@ class FrequencyResponseStage(Stage):
         self._in_count = 0
         self._out_count = 0
         self._skip = self.kernel.precursor
-        # Leading (non-sample) shape of the stream.  A scalar response
-        # latches it from the first block: () for a plain 1-D stream or
-        # (batch,) for a stack of independent streams filtered in one
-        # batched pass (each row convolves independently — FFT rows are
-        # bitwise identical to the 1-D path).  Matrix responses couple
-        # their rows, so the lead stays pinned to (streams,).
-        self._lead = None if self._streams is None else (self._streams,)
 
     # -- internals --------------------------------------------------------
 
     def _coerce(self, x):
         x = np.asarray(x, dtype=complex)
-        if self._streams is None:
-            if x.ndim not in (1, 2):
-                raise ValueError(
-                    "scalar-response stage expects 1-D blocks or a "
-                    f"(batch, n) stack, got {x.shape}")
-            if self._lead is None:
-                self._lead = x.shape[:-1]
-            elif x.shape[:-1] != self._lead:
-                raise ValueError(
-                    f"block leading shape {x.shape[:-1]} does not match "
-                    f"this stream's {self._lead}; reset() between batches")
-        else:
-            if x.ndim != 2 or x.shape[0] != self._streams:
-                raise ValueError(
-                    f"expected ({self._streams}, n) blocks, got {x.shape}")
+        if x.ndim == 0 or x.shape[:-1] != self._lead:
+            want = f"({self._lead[0]}, n)" if self._lead else "1-D"
+            raise ValueError(f"expected {want} blocks, got shape {x.shape}")
         return x
 
     def _empty(self):
-        return np.zeros((self._lead or ()) + (0,), dtype=complex)
+        return np.zeros(self._lead + (0,), dtype=complex)
 
     def _convolve_hop(self, chunk):
         """One overlap-save step: ``hop`` input -> ``hop`` output samples."""
         length = self.kernel.length
         if self._history is None:
-            self._history = np.zeros(
-                (self._lead or ()) + (length - 1,), dtype=complex)
+            self._history = np.zeros(self._lead + (length - 1,),
+                                     dtype=complex)
         segment = np.concatenate([self._history, chunk], axis=-1)
         spec = np.fft.fft(segment, axis=-1)
-        if self._streams is None:
+        if not self._lead:
             out_spec = self._spectrum * spec
         else:
             out_spec = np.einsum("rtm,tm->rm", self._spectrum, spec)
@@ -176,7 +159,7 @@ class FrequencyResponseStage(Stage):
     def flush(self):
         """Drain the tail so total output length equals total input."""
         outs = []
-        zeros_shape = (self._lead or ()) + (self.hop,)
+        zeros_shape = self._lead + (self.hop,)
         guard = 0
         while self._out_count < self._in_count:
             outs.append(self._drain(np.zeros(zeros_shape, dtype=complex),

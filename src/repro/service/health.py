@@ -13,15 +13,14 @@ Three layers, cheapest first:
   stage power) stay fresh while the service runs.
 * :class:`StatusWriter` — writes ``status.json`` plus the PR 5
   ``link_health.html`` report into ``--status-dir`` *atomically*
-  (write to a temp file in the same directory, then ``os.replace``),
-  so a dashboard polling the directory never reads a torn file.
+  (:func:`repro.utils.atomic.atomic_replace`), so a dashboard polling
+  the directory never reads a torn file.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 
 from dataclasses import dataclass, field
 
@@ -31,6 +30,7 @@ from repro.probes import ProbeSet, make_reference_frame
 from repro.probes.html_report import write_html_report
 from repro.service.session import SessionState
 from repro.telemetry import percentiles
+from repro.utils.atomic import atomic_replace
 
 
 def latency_summary(values_s):
@@ -180,21 +180,6 @@ def slo_html_section(slo_status):
         f"{alert_table}")
 
 
-def _atomic_write_text(path, text):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".status-")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 class StatusWriter:
     """Atomic ``status.json`` + ``link_health.html`` in a directory."""
 
@@ -217,23 +202,22 @@ class StatusWriter:
 
     def write(self, status: ServiceStatus, telemetry=None, series=None):
         """Write one snapshot; each file lands atomically."""
-        _atomic_write_text(self.status_path,
-                           json.dumps(status.as_dict(), indent=2,
-                                      sort_keys=True) + "\n")
+        with atomic_replace(self.status_path) as tmp, \
+                open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(status.as_dict(), indent=2,
+                                    sort_keys=True) + "\n")
         if telemetry is not None:
             extra = []
             if status.slo is not None:
                 section = slo_html_section(status.slo)
                 if section:
                     extra.append(section)
-            tmp = self.report_path + ".tmp"
-            write_html_report(telemetry.payload(), tmp,
-                              title="FastForward relay service",
-                              extra_sections=extra)
-            os.replace(tmp, self.report_path)
+            with atomic_replace(self.report_path) as tmp:
+                write_html_report(telemetry.payload(), tmp,
+                                  title="FastForward relay service",
+                                  extra_sections=extra)
         if series is not None:
-            tmp = self.series_path + ".tmp"
-            series.write_jsonl(tmp)
-            os.replace(tmp, self.series_path)
+            with atomic_replace(self.series_path) as tmp:
+                series.write_jsonl(tmp)
         self.writes += 1
         return self.status_path

@@ -2,6 +2,8 @@
 
 These helpers are deliberately small and dependency-free (numpy only) so
 every other subpackage can rely on them without import cycles.
+:func:`atomic_replace` is the one way the package replaces a file on
+disk (result cache entries, service status files, probe baselines).
 """
 
 from repro.utils.units import (
@@ -17,6 +19,7 @@ from repro.utils.units import (
     thermal_noise_dbm,
     wavelength,
 )
+from repro.utils.atomic import atomic_replace
 from repro.utils.rng import make_rng, child_rngs
 from repro.utils.signal_ops import (
     next_pow2,
@@ -53,6 +56,7 @@ __all__ = [
     "watts_to_dbm",
     "thermal_noise_dbm",
     "wavelength",
+    "atomic_replace",
     "make_rng",
     "child_rngs",
     "next_pow2",

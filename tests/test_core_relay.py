@@ -155,6 +155,12 @@ class TestSampleLevel:
         assert est == pytest.approx(45e3, rel=0.05)
 
     def test_process_requires_siso(self, home_mimo):
+        # A 1-D stream is SISO input: a MIMO relay refuses it.
         relay = FastForwardRelay().configure_mimo_link(*home_mimo)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ValueError):
             relay.process(np.ones(64, dtype=complex))
+
+    def test_siso_process_rejects_stacked_streams(self, home_channels):
+        relay = FastForwardRelay().configure_siso_link(*home_channels)
+        with pytest.raises(ValueError, match="1-D"):
+            relay.process(np.ones((2, 64), dtype=complex))

@@ -70,7 +70,7 @@ class TestInputValidation:
         x = np.zeros((2, 1024), dtype=complex)
         x[0, 5] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            relay.process_mimo(x, FS)
+            relay.process(x, FS)
 
 
 class TestFaultComposition:

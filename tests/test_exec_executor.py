@@ -37,6 +37,21 @@ def _boom(x):
     return {"x": x}
 
 
+class _LockedError(Exception):
+    """An exception carrying a lock, so it cannot be pickled."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+@task_fn("test.exec.locked", version="1")
+def _locked(x):
+    if x == 2:
+        raise _LockedError("task 2 holds a lock")
+    return {"x": x}
+
+
 def _squares(n):
     return [Task("test.exec.square", {"x": i}) for i in range(n)]
 
@@ -102,6 +117,16 @@ class TestErrors:
             run_sweep(tasks, jobs=1)
         with pytest.raises(RuntimeError, match="task 3 exploded"):
             run_sweep(tasks, jobs=2, backend="thread", chunk_size=1)
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_unpicklable_error_raised_as_runtime_error(self, backend):
+        # Every backend hands task errors through the same capture path,
+        # which swaps an exception pickle cannot carry for a summary.
+        tasks = [Task("test.exec.locked", {"x": i}) for i in range(4)]
+        with pytest.raises(RuntimeError,
+                           match="^_LockedError: task 2 holds a lock$"):
+            run_sweep(tasks, jobs=2, backend=backend, chunk_size=1,
+                      cache=False)
 
     def test_completed_work_cached_despite_error(self, tmp_path):
         cache = ResultCache(tmp_path / "c")

@@ -38,7 +38,7 @@ def _run(scene_links, relay, rng, with_relay, mcs=0, bits=None):
     parts = [direct]
     if with_relay:
         at_relay = L_sr.apply(waves)[:, : waves.shape[1]]
-        fwd = relay.process_mimo(at_relay)
+        fwd = relay.process(at_relay)
         lat = int(round(relay.latency_s() / p.sample_period_s))
         fwd = np.concatenate([np.zeros((2, lat), dtype=complex), fwd],
                              axis=1)
@@ -81,9 +81,9 @@ class TestMimoRelayEndToEnd:
     def test_stream_count_validated(self, scene):
         _, relay = scene
         with pytest.raises(ValueError):
-            relay.process_mimo(np.zeros((3, 64), dtype=complex))
+            relay.process(np.zeros((3, 64), dtype=complex))
 
     def test_requires_mimo_mode(self):
         relay = FastForwardRelay()
         with pytest.raises(RuntimeError):
-            relay.process_mimo(np.zeros((2, 64), dtype=complex))
+            relay.process(np.zeros((2, 64), dtype=complex))

@@ -1,7 +1,8 @@
-"""Parallel/cached/resumed sweeps are bit-identical to serial runs.
+"""Parallel/cached/resumed/blocked sweeps are bit-identical to serial runs.
 
 The contract of :mod:`repro.exec`: shard layout, worker count, cache
-state and checkpoint recovery must never change a published number.
+state, checkpoint recovery and the netsim client-block layout
+(``block_size=``) must never change a published number.
 These tests run each experiment family at a small scale and compare
 every output array bit-for-bit across execution modes.
 """
@@ -11,6 +12,7 @@ import dataclasses
 import numpy as np
 
 from repro.netsim.experiments import (
+    _block_rows,
     fault_sweep_experiment,
     latency_sweep_experiment,
     overall_gains_experiment,
@@ -129,3 +131,16 @@ class TestCheckpointResume:
         assert (tmp_path / "faults.jsonl.run").exists()
         again = fault_sweep_experiment(checkpoint=manifest, **kwargs)
         _assert_same_tree(first, again, "fault-resume")
+
+
+class TestClientBlocks:
+    def test_blocked_experiment_bit_identical(self):
+        base = siso_gains_experiment(num_clients=6, seed=3)
+        blocked = siso_gains_experiment(num_clients=6, seed=3,
+                                        block_size=4)
+        for key in ("ap_only", "half_duplex", "fastforward"):
+            assert np.array_equal(base[key], blocked[key])
+
+    def test_block_rows_flattens_preserving_order(self):
+        rows = _block_rows([[1, 2], [3], 4, [5, 6]])
+        assert rows == [1, 2, 3, 4, 5, 6]

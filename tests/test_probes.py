@@ -261,7 +261,7 @@ class TestLatencyAccountant:
     def test_realised_lookahead_observed_from_chain(self):
         relay, _, params, _ = _relay_and_frame()
         acct = LatencyAccountant(params)
-        acct.observe_chain(relay.make_siso_chain(),
+        acct.observe_chain(relay.make_chain(),
                            sample_rate_hz=params.bandwidth_hz)
         realised = acct.realised_ns()
         assert "cnf-filter" in realised
@@ -296,8 +296,8 @@ class TestProbeSetOnRelay:
         for block_size in (512, 4096, None):
             probes = ProbeSet(params, reference=frame, policy=ALWAYS,
                               budget=cfg.latency)
-            chain = relay.make_siso_chain(block_size=block_size) \
-                if block_size else relay.make_siso_chain()
+            chain = relay.make_chain(block_size=block_size) \
+                if block_size else relay.make_chain()
             probed = probes.instrument(chain,
                                        sample_rate_hz=params.bandwidth_hz)
             probed.reset()
@@ -323,7 +323,7 @@ class TestProbeSetOnRelay:
 
     def test_unknown_tap_label_rejected(self):
         relay, _, _, _ = _relay_and_frame()
-        chain = relay.make_siso_chain()
+        chain = relay.make_chain()
         with pytest.raises(ValueError, match="no-such-stage"):
             chain.with_taps({"no-such-stage": object()})
 
@@ -332,7 +332,7 @@ class TestProbeSetOnRelay:
         probes = ProbeSet(params, reference=frame, policy=ALWAYS,
                           budget=cfg.latency)
         probed = probes.instrument(
-            relay.make_siso_chain(), sample_rate_hz=params.bandwidth_hz,
+            relay.make_chain(), sample_rate_hz=params.bandwidth_hz,
             site_labels={"cnf-filter": "post-cnf",
                          "not-a-stage": "nowhere"})
         assert any(label.startswith("probe:") for label in probed.labels)

@@ -45,6 +45,17 @@ class TestStore:
         assert data["version"] == 1
         assert list(data["metrics"]) == ["a", "z"]
 
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "base.json"
+        ProbeBaseline.from_summary({"a": 1.0}).save(path)
+        before = path.read_bytes()
+        unserialisable = ProbeBaseline(metrics={"a": 2.0},
+                                       config={"bad": object()})
+        with pytest.raises(TypeError):
+            unserialisable.save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["base.json"]
+
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "base.json"
         path.write_text(json.dumps({"version": 99, "metrics": {}}))

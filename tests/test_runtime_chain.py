@@ -101,7 +101,7 @@ class TestStageContract:
 
     def test_chain_latency_is_sum(self):
         relay = _siso_relay()
-        chain = relay.make_siso_chain()
+        chain = relay.make_chain()
         stage = [s for s in chain.stages
                  if isinstance(s, FrequencyResponseStage)][0]
         assert chain.latency_samples == stage.latency_samples > 0
@@ -119,7 +119,7 @@ class TestBlockInvariance:
         rng = np.random.default_rng(3)
         x = rng.normal(size=2500) + 1j * rng.normal(size=2500)
         one_shot = relay.process(x, cfo_hz=cfo_hz)
-        chain = relay.make_siso_chain(cfo_hz=cfo_hz, block_size=512)
+        chain = relay.make_chain(cfo_hz=cfo_hz, block_size=512)
         chain.reset()
         assert _rms(_stream(chain, x, sizes), one_shot) <= 1e-8
 
@@ -130,8 +130,8 @@ class TestBlockInvariance:
         relay = _mimo_relay()
         rng = np.random.default_rng(5)
         x = rng.normal(size=(2, 1800)) + 1j * rng.normal(size=(2, 1800))
-        one_shot = relay.process_mimo(x, cfo_hz=700.0)
-        chain = relay.make_mimo_chain(cfo_hz=700.0, block_size=256)
+        one_shot = relay.process(x, cfo_hz=700.0)
+        chain = relay.make_chain(cfo_hz=700.0, block_size=256)
         chain.reset()
         assert _rms(_stream(chain, x, sizes), one_shot) <= 1e-8
 
@@ -141,7 +141,7 @@ class TestBlockInvariance:
         rng = np.random.default_rng(9)
         x = rng.normal(size=16000) + 1j * rng.normal(size=16000)
         one_shot = relay.process(x, cfo_hz=1250.0)
-        chain = relay.make_siso_chain(cfo_hz=1250.0)
+        chain = relay.make_chain(cfo_hz=1250.0)
         chain.reset()
         assert _rms(_stream(chain, x, [101, 1, 499, 7]), one_shot) <= 1e-8
 
@@ -149,7 +149,7 @@ class TestBlockInvariance:
         relay = _siso_relay()
         rng = np.random.default_rng(13)
         x = rng.normal(size=3000) + 1j * rng.normal(size=3000)
-        chain = relay.make_siso_chain(cfo_hz=950.0)
+        chain = relay.make_chain(cfo_hz=950.0)
         chain.reset()
         first = _stream(chain, x, [64])
         chain.reset()
@@ -190,9 +190,11 @@ class TestFrequencyResponseStage:
         assert _rms(out[mid], x[mid]) <= 1e-3
 
     def test_rejects_wrong_rank(self):
+        # A scalar response filters one 1-D stream; stacks are refused.
         stage = FrequencyResponseStage(lambda f: np.ones(np.size(f)), FS)
-        with pytest.raises(ValueError):
-            stage.process_block(np.zeros((2, 2, 2), dtype=complex))
+        for shape in [(2, 2, 2), (2, 64), ()]:
+            with pytest.raises(ValueError):
+                stage.process_block(np.zeros(shape, dtype=complex))
 
 
 class _TrippingStage(Stage):

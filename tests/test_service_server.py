@@ -10,6 +10,7 @@ from repro.service import (
     RelayService,
     ServeConfig,
     ServiceStatus,
+    StatusWriter,
     build_service,
     latency_summary,
     refresh_probes,
@@ -139,6 +140,39 @@ class TestHealth:
         assert sorted(os.listdir(out)) == ["link_health.html",
                                            "series.jsonl",
                                            "status.json"]
+
+    @pytest.mark.parametrize("broken", ["series", "html"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch,
+                                              broken):
+        out = tmp_path / "status"
+        pump, tel = run_once(_small_config(status_interval_s=0.05),
+                             status_dir=out)
+        names = sorted(os.listdir(out))
+        target = out / ("series.jsonl" if broken == "series"
+                        else "link_health.html")
+        before = target.read_bytes()
+
+        def torn_write(*args, **kwargs):
+            # Both writers take the output path as their last positional
+            # argument: start the file, then fail half-way through it.
+            with open(args[-1], "w") as fh:
+                fh.write("{\"torn\": ")
+            raise OSError("disk full")
+
+        class TornSeries:
+            write_jsonl = staticmethod(torn_write)
+
+        if broken == "html":
+            monkeypatch.setattr("repro.service.health.write_html_report",
+                                torn_write)
+        status = ServiceStatus.capture(pump.scheduler, pump.now_s,
+                                       telemetry=tel)
+        with pytest.raises(OSError, match="disk full"):
+            StatusWriter(out).write(
+                status, telemetry=tel,
+                series=TornSeries() if broken == "series" else None)
+        assert target.read_bytes() == before
+        assert sorted(os.listdir(out)) == names
 
     def test_refresh_probes_populates_probe_metrics(self):
         from repro.telemetry.collector import TelemetryCollector

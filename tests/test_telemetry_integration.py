@@ -32,6 +32,19 @@ def _siso_relay(seed=0, n_sc=None):
     return relay
 
 
+def _mimo_relay(seed=0, k=2):
+    rng = np.random.default_rng(seed)
+    relay = FastForwardRelay(RelayConfig())
+    n_sc = len(relay.config.params.subcarrier_freqs_hz())
+
+    def h():
+        return (rng.normal(size=(n_sc, k, k))
+                + 1j * rng.normal(size=(n_sc, k, k)))
+
+    relay.configure_mimo_link(h(), h(), h())
+    return relay
+
+
 class TestChainTraceAdapter:
     def _chain(self):
         return Chain([FunctionStage(lambda x: x, name="identity"),
@@ -84,6 +97,16 @@ class TestRelayTelemetry:
         assert tel.counter("relay.samples", mode="siso").value == 4096
         # The auto-created ChainTrace fed per-stage metrics too.
         assert tel.metrics.counter_values("runtime.stage.calls")
+
+        # A MIMO link runs the same entry point under its own label and
+        # counts per-stream samples, not array elements.
+        tel = TelemetryCollector()
+        _mimo_relay().process(np.ones((2, 1024), dtype=complex),
+                              telemetry=tel)
+        assert [s["name"] for s in tel.spans] == ["relay.process"]
+        assert tel.spans[0]["labels"] == {"mode": "mimo"}
+        assert tel.metrics.counter_values("relay.samples") == {
+            (("mode", "mimo"),): 1024}
 
     def test_ambient_collector_used_by_default(self):
         relay = _siso_relay()
