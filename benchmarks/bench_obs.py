@@ -48,15 +48,15 @@ def available_cpus():
         return os.cpu_count() or 1
 
 
-def run_profile(clients, jobs, seed, backend, flamegraph_path):
+def run_profile(clients, jobs, seed, flamegraph_path):
     print(f"profile scenario: overall_gains_experiment("
           f"num_clients={clients}, seed={seed}), jobs={jobs}, "
-          f"backend={backend}")
+          f"backend=process")
     tel = TelemetryCollector(origin="bench-obs")
     start = time.perf_counter()
     with use_collector(tel):
         overall_gains_experiment(num_clients=clients, seed=seed,
-                                 jobs=jobs, backend=backend)
+                                 jobs=jobs, backend="process")
     sweep_s = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -143,8 +143,6 @@ def main(argv=None):
     parser.add_argument("--clients", type=int, default=24)
     parser.add_argument("--jobs", type=int, default=2)
     parser.add_argument("--seed", type=int, default=2014)
-    parser.add_argument("--backend", default="process",
-                        choices=["process", "thread"])
     parser.add_argument("--flamegraph", default=None,
                         help="write the sweep flamegraph HTML here "
                              "(CI uploads it as an artifact)")
@@ -161,12 +159,12 @@ def main(argv=None):
 
     record = {
         "profile": run_profile(args.clients, args.jobs, args.seed,
-                               args.backend, args.flamegraph),
+                               args.flamegraph),
         "machine": {"python": platform.python_version(),
                     "cpus": os.cpu_count(),
                     "available_cpus": available_cpus()},
         "config": {"clients": args.clients, "jobs": args.jobs,
-                   "seed": args.seed, "backend": args.backend},
+                   "seed": args.seed, "backend": "process"},
     }
     record["diff"] = run_diff(record)
     record["slo"] = run_slo(args.seed)

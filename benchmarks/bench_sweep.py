@@ -1,10 +1,10 @@
 """Benchmark the repro.exec sweep engine: serial vs parallel vs warm cache.
 
 Runs ``overall_gains_experiment`` three ways — serial cold, parallel
-cold (process backend with shared-memory dispatch by default), then
-again against the now-warm result cache — verifies all three produce
-bit-identical arrays, and writes the wall times and speedups to a JSON
-baseline (``BENCH_sweep.json`` at the repo root by default).
+cold on the process backend, then again against the now-warm result
+cache — verifies all three produce bit-identical arrays, and writes
+the wall times and speedups to a JSON baseline (``BENCH_sweep.json``
+at the repo root by default).
 
 The machine's *available* CPU count (scheduler affinity, not just
 ``os.cpu_count()``) is autodetected and recorded.  The parallel
@@ -58,11 +58,11 @@ def _timed(label, fn):
     return wall, result
 
 
-def run(clients, jobs, seed, backend, block):
+def run(clients, jobs, seed, block):
     cpus = available_cpus()
     print(f"sweep benchmark: overall_gains_experiment("
           f"num_clients={clients}, seed={seed}), jobs={jobs}, "
-          f"backend={backend}, block={block}, cpus available={cpus}")
+          f"backend=process, block={block}, cpus available={cpus}")
     with tempfile.TemporaryDirectory() as tmp:
         cache = ResultCache(os.path.join(tmp, "cache"))
         serial_s, serial = _timed(
@@ -71,12 +71,12 @@ def run(clients, jobs, seed, backend, block):
         parallel_s, parallel = _timed(
             "parallel cold", lambda: overall_gains_experiment(
                 num_clients=clients, seed=seed, jobs=jobs,
-                backend=backend, cache=cache, block_size=block))
+                backend="process", cache=cache, block_size=block))
         parallel_stats = last_sweep_stats()
         warm_s, warm = _timed(
             "parallel warm", lambda: overall_gains_experiment(
                 num_clients=clients, seed=seed, jobs=jobs,
-                backend=backend, cache=cache, block_size=block))
+                backend="process", cache=cache, block_size=block))
         cache_stats = cache.stats
 
     for key in ARRAY_KEYS:
@@ -90,7 +90,7 @@ def run(clients, jobs, seed, backend, block):
         "num_clients": clients,
         "seed": seed,
         "jobs": jobs,
-        "backend": backend,
+        "backend": "process",
         "block_size": block,
         "serial_s": round(serial_s, 4),
         "parallel_s": round(parallel_s, 4),
@@ -114,8 +114,6 @@ def main(argv=None):
     parser.add_argument("--jobs", type=int,
                         default=min(4, max(available_cpus(), 1)))
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--backend", default="process",
-                        choices=("thread", "process"))
     parser.add_argument("--block", type=int, default=4,
                         help="clients per dispatched task "
                              "(netsim client-block batching)")
@@ -132,8 +130,7 @@ def main(argv=None):
                              "available")
     args = parser.parse_args(argv)
 
-    record = run(args.clients, args.jobs, args.seed, args.backend,
-                 args.block)
+    record = run(args.clients, args.jobs, args.seed, args.block)
 
     cpus = record["machine"]["available_cpus"]
     gate = {"required": args.min_parallel_speedup or None,

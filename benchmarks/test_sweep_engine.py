@@ -46,7 +46,7 @@ def test_warm_cache_speedup_full_scale(tmp_path):
 def test_parallel_matches_serial_full_scale():
     serial = overall_gains_experiment(num_clients=60, seed=0, jobs=1)
     parallel = overall_gains_experiment(num_clients=60, seed=0, jobs=4,
-                                        backend="thread")
+                                        backend="process")
     for key in serial:
         assert np.array_equal(np.asarray(serial[key]),
                               np.asarray(parallel[key])), key

@@ -33,7 +33,7 @@ Subpackages
     Fault injection (seeded schedules, impairment stages) and the
     self-healing relay supervisor with its degradation ladder.
 ``repro.exec``
-    The sharded sweep executor: serial/thread/process backends, a
+    The sharded sweep executor: serial/process backends, a
     content-addressed result cache, checkpoint/resume.
 ``repro.telemetry``
     Unified metrics, tracing and profiling: an ambient collector,

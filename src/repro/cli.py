@@ -174,13 +174,12 @@ FLEET_POLICIES = ("strongest-rss", "hashed-lb", "throughput-predictive")
 
 
 def _sweep_kwargs(args):
-    cache = False if args.no_cache else args.cache
     chaos = None
     if getattr(args, "chaos", None):
         from repro.exec.chaos import ChaosPolicy
 
         chaos = ChaosPolicy.parse(args.chaos)
-    return {"jobs": args.jobs, "backend": args.backend, "cache": cache,
+    return {"jobs": args.jobs, "backend": args.backend, "cache": args.cache,
             "checkpoint": args.checkpoint, "max_retries": args.max_retries,
             "task_timeout": args.task_timeout, "chaos": chaos}
 
@@ -594,7 +593,6 @@ def build_parser():
     serve.add_argument("--once", action="store_true",
                        help="run the whole schedule in virtual time and "
                             "exit (deterministic smoke mode)")
-    _add_engine_args(serve)
     serve.set_defaults(func=_cmd_serve)
 
     obs = sub.add_parser(
@@ -662,28 +660,24 @@ def _add_sweep_args(parser):
 def _add_engine_args(parser):
     """The exec-engine flags every sweep-backed command shares."""
     parser.add_argument("--jobs", type=int, default=None,
-                        help="parallel workers (default: REPRO_JOBS or 1)")
-    parser.add_argument("--backend", choices=["serial", "thread", "process"],
+                        help="parallel worker processes (default 1)")
+    parser.add_argument("--backend", choices=["serial", "process"],
                         default=None,
-                        help="executor backend (default: by job count)")
+                        help="executor backend (default: serial at one "
+                             "job, process otherwise)")
     parser.add_argument("--cache", default=None, metavar="DIR",
-                        help="result-cache directory "
-                             "(default: REPRO_CACHE or off)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the result cache even if REPRO_CACHE "
-                             "is set")
+                        help="result-cache directory (default: off)")
     parser.add_argument("--checkpoint", default=None, metavar="FILE",
                         help="sweep manifest enabling resume after "
                              "interruption")
     parser.add_argument("--max-retries", type=int, default=None,
                         metavar="N",
                         help="per-task retry budget with seeded backoff "
-                             "(default: REPRO_MAX_RETRIES or 0)")
+                             "(default 0)")
     parser.add_argument("--task-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="per-task deadline; expired chunks are "
-                             "reclaimed and retried "
-                             "(default: REPRO_TASK_TIMEOUT or off)")
+                             "reclaimed and retried (default: off)")
     parser.add_argument("--chaos", default=None, metavar="SPEC",
                         help="inject seeded failures: a bare seed for the "
                              "default mix, or key=value pairs, e.g. "

@@ -7,16 +7,16 @@ provides the execution substrate they all share:
 * :class:`Task` / :func:`task_fn` — the task model: registered
   functions plus canonicalised params plus a deterministic per-task
   seed, so shard layout never changes results;
-* :func:`run_sweep` — the sharded executor (serial / thread / process
-  backends, chunked dispatch, ordered reassembly);
+* :func:`run_sweep` — the sharded executor (serial / process backends,
+  chunked dispatch, ordered reassembly);
 * :class:`ResultCache` — content-addressed on-disk result caching
   under ``.repro-cache/`` with hit/miss/invalidation stats;
 * :class:`SweepManifest` — incremental checkpoints so interrupted
   sweeps resume from completed shards;
 * :class:`RetryPolicy` / :class:`TaskFailure` — the fault-tolerance
   layer: bounded retries with seeded backoff, per-task deadlines,
-  worker-crash recovery, quarantine and the backend degradation
-  ladder (:mod:`repro.exec.recovery`);
+  worker-crash recovery, quarantine and the serial fallback
+  (:mod:`repro.exec.recovery`);
 * :class:`ChaosPolicy` — deterministic failure injection at every
   executor boundary for testing the above (:mod:`repro.exec.chaos`).
 """
@@ -27,19 +27,15 @@ from repro.exec.executor import (
     BACKENDS,
     SweepResult,
     SweepStats,
-    default_backend,
-    default_jobs,
     last_sweep_stats,
     resolve_cache,
     run_sweep,
 )
 from repro.exec.recovery import (
-    BACKEND_LADDER,
     FailureLedger,
     RetryPolicy,
     TaskTimeoutError,
     WorkerCrashError,
-    next_backend,
 )
 from repro.exec.hashing import canonicalize, digest
 from repro.exec.manifest import SweepManifest, sweep_id
@@ -54,7 +50,6 @@ from repro.exec.task import (
 
 __all__ = [
     "BACKENDS",
-    "BACKEND_LADDER",
     "ChaosError",
     "ChaosKill",
     "ChaosPolicy",
@@ -71,11 +66,8 @@ __all__ = [
     "TaskTimeoutError",
     "WorkerCrashError",
     "canonicalize",
-    "default_backend",
-    "default_jobs",
     "digest",
     "last_sweep_stats",
-    "next_backend",
     "registered_task_fns",
     "resolve_cache",
     "resolve_task_fn",

@@ -15,7 +15,7 @@ Worker-side injections (travel to workers inside the picklable
 * **worker kill** — ``SIGKILL`` to the worker process mid-chunk (the
   ``BrokenProcessPool`` path).  Outside a process worker, where a kill
   would take down the run itself, it degrades to a raised
-  :class:`ChaosKill` so thread/serial rungs stay exercisable;
+  :class:`ChaosKill` so the serial rung stays exercisable;
 * **task hang** — the task sleeps ``hang_s`` before computing (the
   deadline-timeout path);
 * **raised exception** — the task raises :class:`ChaosError` (the

@@ -1,36 +1,23 @@
-"""The sharded sweep executor: serial, thread and process backends.
+"""The sharded sweep executor: serial and process backends.
 
 ``run_sweep`` takes an ordered list of :class:`~repro.exec.task.Task`
 work units and returns their results *in task order*, whatever the
 backend, job count or chunk layout — parallel output is bit-identical
 to serial because each task's RNG is fixed by its seed and reassembly
-is positional.
+is positional.  One job runs inline (``serial``); more run on a process
+pool (``process``).  Only ``run_sweep``'s arguments configure it.
 
 Dispatch is chunked: pending tasks are sliced into contiguous chunks
 (default ~4 chunks per worker) so per-future overhead stays small for
-fine-grained tasks.  A chunk is a plain list of task items; the process
-backend pickles it as-is.  With a cache, hits are resolved up front and
+fine-grained tasks.  A chunk is a plain list of task items, pickled
+as-is to the worker.  With a cache, hits are resolved up front and
 only misses are dispatched; completed results are stored as they arrive.
 With a checkpoint, every completion is appended to the sweep manifest
 so an interrupted sweep resumes from its completed shards.
 
-Environment defaults (so existing entry points — the benchmarks, the
-CLI, plain ``pytest`` — can be routed through the engine without
-signature churn):
-
-==========================  ===========================================
-``REPRO_JOBS``              default worker count (``jobs=None``)
-``REPRO_BACKEND``           default backend (``serial`` / ``thread`` /
-                            ``process``)
-``REPRO_CACHE``             default cache dir; ``0``/``off`` disables,
-                            ``1`` uses ``.repro-cache/``
-``REPRO_MAX_RETRIES``       default per-task retry budget
-``REPRO_TASK_TIMEOUT``      default per-task deadline in seconds
-==========================  ===========================================
-
 The ``exec.dispatch.*`` telemetry family records the dispatch layout
-(pickled bytes per process-backend chunk, chosen chunk size)
-separately from task compute time (``exec.task.wall_ns``).
+(pickled bytes per chunk, chosen chunk size) separately from task
+compute time (``exec.task.wall_ns``).
 
 Fault tolerance (:mod:`repro.exec.recovery`) is layered on top:
 ``max_retries`` / ``task_timeout`` enable bounded retry with seeded
@@ -38,11 +25,11 @@ exponential backoff and per-task deadlines; a ``BrokenProcessPool`` is
 survived (results salvaged, pool respawned, lost chunks re-dispatched
 split in half to isolate the culprit); tasks that exhaust their budget
 are quarantined as typed :class:`~repro.exec.task.TaskFailure` records
-instead of unwinding the sweep; and a pool that keeps breaking demotes
-down the ``process -> thread -> serial`` ladder.  Every transition is
-emitted as ``exec.recovery.*`` telemetry.  ``chaos`` injects seeded
-failures at each of those boundaries (:mod:`repro.exec.chaos`) so the
-machinery is testable deterministically.
+instead of unwinding the sweep; and a pool that keeps breaking is
+abandoned for inline serial execution.  Every transition is emitted as
+``exec.recovery.*`` telemetry.  ``chaos`` injects seeded failures at
+each of those boundaries (:mod:`repro.exec.chaos`) so the machinery is
+testable deterministically.
 """
 
 from __future__ import annotations
@@ -51,7 +38,6 @@ import heapq
 import importlib
 import itertools
 import math
-import os
 import pickle
 import time
 from collections import deque
@@ -59,7 +45,6 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from dataclasses import dataclass, field
@@ -71,7 +56,7 @@ import numpy as np
 from repro.exec import chaos as chaos_injection
 from repro.exec.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.exec.manifest import SweepManifest
-from repro.exec.recovery import FailureLedger, RetryPolicy, next_backend
+from repro.exec.recovery import FailureLedger, RetryPolicy
 from repro.exec.task import resolve_task_fn
 from repro.telemetry.collector import (
     TelemetryCollector,
@@ -80,9 +65,7 @@ from repro.telemetry.collector import (
 )
 from repro.telemetry.timing import NS_PER_S, timed_call
 
-BACKENDS = ("serial", "thread", "process")
-
-_FALSEY = {"", "0", "off", "none", "false", "no"}
+BACKENDS = ("serial", "process")
 
 
 class _Missing:
@@ -92,47 +75,18 @@ class _Missing:
 _MISSING = _Missing()
 
 
-def default_jobs():
-    """Worker count when ``jobs=None``: ``REPRO_JOBS`` or 1."""
-    raw = os.environ.get("REPRO_JOBS", "").strip()
-    if not raw:
-        return 1
-    jobs = int(raw)
-    if jobs < 1:
-        raise ValueError(f"REPRO_JOBS must be >= 1, got {jobs}")
-    return jobs
-
-
-def default_backend(jobs):
-    """Backend when ``backend=None``: ``REPRO_BACKEND``, else by jobs."""
-    raw = os.environ.get("REPRO_BACKEND", "").strip().lower()
-    if raw:
-        if raw not in BACKENDS:
-            raise ValueError(f"REPRO_BACKEND must be one of {BACKENDS}, "
-                             f"got {raw!r}")
-        return raw
-    return "serial" if jobs <= 1 else "thread"
-
-
 def resolve_cache(cache):
     """Coerce a ``cache=`` argument into a :class:`ResultCache` or ``None``.
 
-    Accepts ``None`` (consult ``REPRO_CACHE``), booleans, a directory
-    path, or an existing cache instance.
+    Accepts ``None``/``False`` (no cache), ``True`` (the default
+    directory), a directory path, or an existing cache instance.
     """
-    if cache is None:
-        raw = os.environ.get("REPRO_CACHE", "").strip()
-        if raw.lower() in _FALSEY:
-            return None
-        if raw.lower() in {"1", "on", "true", "yes"}:
-            return ResultCache(DEFAULT_CACHE_DIR)
-        return ResultCache(raw)
+    if cache is None or cache is False:
+        return None
     if isinstance(cache, ResultCache):
         return cache
     if cache is True:
         return ResultCache(DEFAULT_CACHE_DIR)
-    if cache is False:
-        return None
     if isinstance(cache, (str, Path)):
         return ResultCache(cache)
     raise TypeError(f"cache must be None, bool, path or ResultCache, "
@@ -159,7 +113,7 @@ class SweepStats:
     respawns: int = 0             # pools replaced (breaks + stuck kills)
     quarantined: int = 0          # tasks given up on (TaskFailure records)
     chunk_splits: int = 0         # lost chunks halved to isolate a culprit
-    degraded_to: Optional[str] = None   # final ladder rung, if demoted
+    degraded_to: Optional[str] = None   # "serial" once the pool is dropped
     interrupted: bool = False     # Ctrl-C landed; finished work salvaged
     cache: Optional[object] = field(default=None, repr=False)
 
@@ -273,18 +227,17 @@ def _capture_item(item, chaos=None):
 def _run_chunk(items, collect=False, shard=None, chaos=None):
     """Execute one chunk; returns ``(results, telemetry_payload)``.
 
-    Runs in a worker (thread or process), or inline on the serial
-    rung.  Per-item results are tagged outcomes (see
-    :func:`_capture_item`): a raising task never takes its chunkmates
-    down, and the dispatcher's ledger decides whether it is retried,
-    quarantined or re-raised.
+    Runs in a worker process, or inline on the serial rung.  Per-item
+    results are tagged outcomes (see :func:`_capture_item`): a raising
+    task never takes its chunkmates down, and the dispatcher's ledger
+    decides whether it is retried, quarantined or re-raised.
 
     When ``collect`` is set the chunk gets its own
-    :class:`~repro.telemetry.TelemetryCollector`, installed
-    thread-locally so parallel shards never race on shared state and
-    anything the task functions record lands in the shard's collector.
-    The payload (a plain dict — it crosses the process boundary) is
-    merged back in the parent in deterministic task order.
+    :class:`~repro.telemetry.TelemetryCollector`, installed as the
+    ambient collector so anything the task functions record lands in
+    the shard's collector.  The payload (a plain dict — it crosses the
+    process boundary) is merged back in the parent in deterministic
+    task order.
     """
     if not collect:
         return [_capture_item(item, chaos) for item in items], None
@@ -356,10 +309,9 @@ class _Dispatcher:
     with seeded backoff; a broken pool is respawned with lost chunks
     re-dispatched (split in half to isolate the culprit); expired
     deadlines reclaim stuck workers; and a pool that keeps breaking is
-    demoted one backend-ladder rung at a time down to inline serial
-    execution.  Tasks whose budget is spent are quarantined (or, with
-    quarantine off, stop dispatch and re-raise once in-flight work has
-    been salvaged).
+    abandoned for inline serial execution.  Tasks whose budget is spent
+    are quarantined (or, with quarantine off, stop dispatch and re-raise
+    once in-flight work has been salvaged).
     """
 
     def __init__(self, backend, jobs, policy, chaos, tel, collect, stats,
@@ -379,7 +331,6 @@ class _Dispatcher:
         self.delayed = []               # heap of (ready_at, seq, chunk)
         self.inflight = {}              # future -> _Flight
         self.payloads = []              # (shard, telemetry payload)
-        self.abandoned = 0              # wedged thread workers written off
         self._pool = None
         self._seq = itertools.count()
         self._shard = itertools.count()
@@ -413,10 +364,7 @@ class _Dispatcher:
             self._salvage_on_interrupt()
             raise
         finally:
-            # Drain workers on a clean exit, but never block on a hung
-            # thread that was already written off by a deadline.
-            self._discard_pool(wait_workers=not self._fatal
-                               and self.abandoned == 0)
+            self._discard_pool(wait_workers=not self._fatal)
             for _, payload in sorted(self.payloads, key=lambda p: p[0]):
                 self.tel.merge(payload)
         if self._fatal:
@@ -462,9 +410,7 @@ class _Dispatcher:
 
     def _ensure_pool(self):
         if self._pool is None:
-            pool_cls = (ThreadPoolExecutor if self.backend == "thread"
-                        else ProcessPoolExecutor)
-            self._pool = pool_cls(max_workers=self.jobs)
+            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
         return self._pool
 
     # -- scheduling ----------------------------------------------------------
@@ -491,7 +437,7 @@ class _Dispatcher:
             chunk = self.queue[0]
             pool = self._ensure_pool()
             shard = next(self._shard)
-            if self.collect and self.backend == "process":
+            if self.collect:
                 self.tel.histogram(
                     "exec.dispatch.payload_bytes",
                     unit="layout").observe(len(pickle.dumps(
@@ -593,7 +539,7 @@ class _Dispatcher:
             self._give_up(index, fn_name)
 
     def _give_up(self, index, fn_name):
-        if self.policy.quarantine_enabled:
+        if self.policy.quarantine:
             failure = self.ledger.failure_record(index, fn_name)
             self.stats.quarantined += 1
             if self.tel.enabled:
@@ -643,19 +589,15 @@ class _Dispatcher:
                            backend=self.backend)
 
     def _degrade(self, reason):
-        down = next_backend(self.backend)
-        if down is None:
-            # Already serial: nothing below — keep executing inline.
-            return
         if self.tel.enabled:
             self.tel.counter("exec.recovery.backend_degraded",
-                             **{"from": self.backend, "to": down}).inc()
+                             **{"from": self.backend, "to": "serial"}).inc()
             self.tel.event("exec.recovery.transition", action="degrade",
-                           **{"from": self.backend, "to": down,
+                           **{"from": self.backend, "to": "serial",
                               "reason": reason})
         self._discard_pool()
-        self.backend = down
-        self.stats.degraded_to = down
+        self.backend = "serial"
+        self.stats.degraded_to = "serial"
 
     def _check_deadlines(self, now):
         expired = {future: flight
@@ -671,50 +613,30 @@ class _Dispatcher:
                                  backend=self.backend).inc()
                 self.tel.event("exec.recovery.transition", action="timeout",
                                tasks=len(flight.chunk))
-        if self.backend == "process":
-            # Stuck workers cannot be preempted politely: kill the
-            # pool, salvage what finished, charge the expired chunks
-            # and re-dispatch the innocent bystanders uncharged.
-            processes = getattr(self._pool, "_processes", None) or {}
-            for process in list(processes.values()):
-                try:
-                    process.kill()
-                except Exception:
-                    pass
-            leftovers = list(self.inflight.items())
-            self.inflight.clear()
-            wait([future for future, _ in leftovers], timeout=5.0)
-            for future, flight in leftovers:
-                if (future.done() and not future.cancelled()
-                        and future.exception() is None):
-                    self._harvest(flight.shard, flight.chunk,
-                                  future.result())
-                elif future in expired:
-                    self._chunk_failed(
-                        flight.chunk, "timeout",
-                        f"exceeded {self.policy.task_timeout_s:.3g}s "
-                        f"deadline")
-                else:
-                    self.queue.appendleft(flight.chunk)
-            self._discard_pool()
-            self._note_respawn()
-        else:
-            # Threads cannot be killed: write the future off (its late
-            # result, if any, is discarded) and retry the task.  Once
-            # every worker is wedged, leak the pool and start fresh.
-            for future, flight in expired.items():
-                del self.inflight[future]
-                self.abandoned += 1
+        # Stuck workers cannot be preempted politely: kill the pool,
+        # salvage what finished, charge the expired chunks and
+        # re-dispatch the innocent bystanders uncharged.
+        processes = getattr(self._pool, "_processes", None) or {}
+        for process in list(processes.values()):
+            try:
+                process.kill()
+            except Exception:
+                pass
+        leftovers = list(self.inflight.items())
+        self.inflight.clear()
+        wait([future for future, _ in leftovers], timeout=5.0)
+        for future, flight in leftovers:
+            if (future.done() and not future.cancelled()
+                    and future.exception() is None):
+                self._harvest(flight.shard, flight.chunk, future.result())
+            elif future in expired:
                 self._chunk_failed(
                     flight.chunk, "timeout",
-                    f"exceeded {self.policy.task_timeout_s:.3g}s deadline "
-                    f"(thread abandoned)")
-            if self.abandoned >= self.jobs and self._pool is not None:
-                stale = self._pool
-                self._pool = None
-                self.abandoned = 0
-                stale.shutdown(wait=False)
-                self._note_respawn()
+                    f"exceeded {self.policy.task_timeout_s:.3g}s deadline")
+            else:
+                self.queue.appendleft(flight.chunk)
+        self._discard_pool()
+        self._note_respawn()
 
     # -- the serial rung -------------------------------------------------------
 
@@ -737,10 +659,12 @@ def run_sweep(tasks, jobs=None, backend=None, cache=None, checkpoint=None,
               quarantine=None, chaos=None, retry_policy=None):
     """Run ``tasks`` and return a :class:`SweepResult` in task order.
 
-    ``jobs``/``backend``/``cache`` default from the environment (see
-    module docstring).  ``checkpoint`` names a manifest file enabling
-    resume; it implies the default cache when none is configured, since
-    resumable results must be persisted somewhere.
+    ``jobs`` defaults to 1.  ``backend`` defaults to ``serial`` at one
+    job and ``process`` otherwise; ``backend="serial"`` forces inline
+    execution whatever ``jobs`` says.  ``cache`` defaults to none (see
+    :func:`resolve_cache`).  ``checkpoint`` names a manifest file
+    enabling resume; it implies the default cache when none is
+    configured, since resumable results must be persisted somewhere.
 
     ``chunk_size`` is an explicit per-chunk task count, or ``None`` for
     the default layout (~4 chunks per worker).  Results are
@@ -748,34 +672,32 @@ def run_sweep(tasks, jobs=None, backend=None, cache=None, checkpoint=None,
     changes.
 
     Fault tolerance: ``max_retries`` re-runs failing tasks with seeded
-    exponential backoff (default ``REPRO_MAX_RETRIES`` or 0);
-    ``task_timeout`` arms a per-task deadline in seconds (default
-    ``REPRO_TASK_TIMEOUT`` or none — serial execution cannot preempt
-    and does not enforce it); ``quarantine`` forces the
+    exponential backoff (default 0); ``task_timeout`` arms a per-task
+    deadline in seconds (default none — serial execution cannot
+    preempt and does not enforce it); ``quarantine`` forces the
     give-up behaviour (default: quarantine exactly when any fault
     tolerance is configured, else raise as before); ``chaos`` takes a
     :class:`~repro.exec.chaos.ChaosPolicy` injecting seeded failures;
     ``retry_policy`` supplies a full :class:`RetryPolicy` overriding
     the granular knobs.  Worker-crash recovery is always on: a
     ``BrokenProcessPool`` salvages finished results, respawns the pool
-    and re-dispatches lost chunks, degrading the backend
-    (process -> thread -> serial) if pools keep breaking.
+    and re-dispatches lost chunks, falling back to serial execution if
+    pools keep breaking.
     """
     tasks = list(tasks)
-    jobs = default_jobs() if jobs is None else int(jobs)
+    jobs = 1 if jobs is None else int(jobs)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    backend = default_backend(jobs) if backend is None else str(backend)
+    if backend is None:
+        backend = "serial" if jobs == 1 else "process"
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, "
                          f"got {backend!r}")
     cache = resolve_cache(cache)
     if checkpoint is not None and cache is None:
         cache = ResultCache(DEFAULT_CACHE_DIR)
-    if retry_policy is not None:
-        policy = retry_policy
-        policy._configured = True
-    else:
+    policy = retry_policy
+    if policy is None:
         policy = RetryPolicy.resolve(max_retries=max_retries,
                                      task_timeout=task_timeout,
                                      quarantine=quarantine, chaos=chaos)

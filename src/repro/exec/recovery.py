@@ -10,9 +10,8 @@ least-lossy first, every transition observable.
   stream, so two runs of the same sweep schedule identical delays);
 * **Deadlines** — ``task_timeout_s`` bounds one task's wall time.  On
   the process backend an expired chunk's workers are killed and the
-  chunk re-dispatched; on the thread backend the future is abandoned
-  (threads cannot be preempted) and the task retried; the serial
-  backend cannot preempt at all and does not enforce deadlines;
+  chunk re-dispatched; the serial backend cannot preempt at all and
+  does not enforce deadlines;
 * **Quarantine** — a task that keeps failing is quarantined after its
   budget is spent: the sweep completes and a typed
   :class:`~repro.exec.task.TaskFailure` record takes the result's
@@ -21,9 +20,8 @@ least-lossy first, every transition observable.
   the sweep: surviving results are salvaged, the pool is respawned and
   lost chunks are re-dispatched, *split in half* so repeated crashes
   isolate the culprit task before charging anyone's budget;
-* **Backend degradation ladder** — a pool that keeps breaking is
-  demoted ``process -> thread -> serial``, mirroring the relay
-  supervisor's retune -> backoff -> mute ladder.
+* **Serial fallback** — a pool that keeps breaking is abandoned and
+  the rest of the sweep runs inline.
 
 Everything here is pure bookkeeping (no pools, no futures) so the
 policy is unit-testable and the executor stays the only place that
@@ -32,17 +30,10 @@ touches ``concurrent.futures``.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.faults.schedule import FaultSchedule
-
-#: The degradation ladder, least degraded first.  ``thread`` demotes to
-#: ``serial``; ``serial`` has nowhere left to go.
-BACKEND_LADDER = ("process", "thread", "serial")
-
-_FALSEY = {"", "0", "off", "none", "false", "no"}
 
 
 class TaskTimeoutError(RuntimeError):
@@ -51,28 +42,6 @@ class TaskTimeoutError(RuntimeError):
 
 class WorkerCrashError(RuntimeError):
     """A task was charged with repeatedly crashing its worker."""
-
-
-def default_max_retries():
-    """Retry budget when ``max_retries=None``: ``REPRO_MAX_RETRIES`` or 0."""
-    raw = os.environ.get("REPRO_MAX_RETRIES", "").strip()
-    if raw.lower() in _FALSEY:
-        return 0
-    value = int(raw)
-    if value < 0:
-        raise ValueError(f"REPRO_MAX_RETRIES must be >= 0, got {value}")
-    return value
-
-
-def default_task_timeout():
-    """Deadline when ``task_timeout=None``: ``REPRO_TASK_TIMEOUT`` or none."""
-    raw = os.environ.get("REPRO_TASK_TIMEOUT", "").strip()
-    if raw.lower() in _FALSEY:
-        return None
-    value = float(raw)
-    if value <= 0:
-        raise ValueError(f"REPRO_TASK_TIMEOUT must be > 0, got {value}")
-    return value
 
 
 @dataclass
@@ -91,15 +60,16 @@ class RetryPolicy:
     jitter: float = 0.5
     #: Seed for the jitter stream — same seed, same delays.
     seed: int = 0
-    #: ``True``/``False`` force quarantine on/off; ``None`` enables it
-    #: exactly when fault tolerance is configured at all.
-    quarantine: Optional[bool] = None
+    #: Quarantine a task whose budget is spent instead of raising.
+    #: :meth:`resolve` turns it on exactly when fault tolerance is
+    #: configured at all.
+    quarantine: bool = True
     #: Chunks lost to worker crashes are re-dispatched this many times
     #: per task even with ``max_retries=0`` (transient crashes must not
     #: kill a sweep; a *deterministic* crasher still runs out).
     crash_retries: int = 2
-    #: Consecutive pool breakages tolerated before the backend is
-    #: demoted one ladder rung (process -> thread -> serial).
+    #: Consecutive pool breakages tolerated before the sweep falls back
+    #: to inline serial execution.
     pool_break_budget: int = 3
     #: Extra wall-clock allowance on top of ``task_timeout_s * len(chunk)``
     #: covering worker spawn and import cost.
@@ -121,40 +91,25 @@ class RetryPolicy:
     @classmethod
     def resolve(cls, max_retries=None, task_timeout=None, quarantine=None,
                 chaos=None, seed=None):
-        """Build a policy from ``run_sweep`` keywords and env defaults.
+        """Build a policy from ``run_sweep`` keywords.
 
-        ``chaos`` only marks the policy as explicitly configured (so
-        quarantine auto-enables for chaos runs); the chaos plan itself
-        travels separately to the workers.
+        Unset keywords mean no retries and no deadline.  ``quarantine``
+        defaults to whether any of ``max_retries``, ``task_timeout`` or
+        ``chaos`` was given; ``chaos`` only counts towards that, the
+        chaos plan itself travels separately to the workers.
         """
-        configured = (max_retries is not None or task_timeout is not None
-                      or quarantine is not None or chaos is not None)
+        if quarantine is None:
+            quarantine = (max_retries is not None
+                          or task_timeout is not None or chaos is not None)
         policy = cls(
-            max_retries=default_max_retries() if max_retries is None
-            else int(max_retries),
-            task_timeout_s=default_task_timeout() if task_timeout is None
+            max_retries=0 if max_retries is None else int(max_retries),
+            task_timeout_s=None if task_timeout is None
             else float(task_timeout),
-            quarantine=quarantine,
+            quarantine=bool(quarantine),
         )
         if seed is not None:
             policy.seed = int(seed)
-        policy._configured = configured or policy.max_retries > 0 \
-            or policy.task_timeout_s is not None
         return policy
-
-    @property
-    def enabled(self):
-        """Whether any fault-tolerance behaviour is configured."""
-        return bool(getattr(self, "_configured", False)
-                    or self.max_retries > 0
-                    or self.task_timeout_s is not None)
-
-    @property
-    def quarantine_enabled(self):
-        """Quarantine instead of raising once a task's budget is spent."""
-        if self.quarantine is not None:
-            return bool(self.quarantine)
-        return self.enabled
 
     def budget(self, kinds):
         """Allowed retries for a task given its failure kinds so far.
@@ -262,14 +217,3 @@ class FailureLedger:
                            kind=last.kind if last else "exception",
                            error=last.error if last else "unknown failure",
                            history=events)
-
-
-def next_backend(backend):
-    """The ladder rung below ``backend``, or ``None`` at the bottom."""
-    try:
-        position = BACKEND_LADDER.index(backend)
-    except ValueError:
-        return None
-    if position + 1 >= len(BACKEND_LADDER):
-        return None
-    return BACKEND_LADDER[position + 1]

@@ -15,11 +15,10 @@ derived exactly as the original serial loops derived them, so
 * every ported sweep reproduces the seed implementation's numbers.
 
 Each runner accepts ``jobs=``, ``cache=``, ``backend=`` and
-``checkpoint=`` keywords (``None`` defers to the ``REPRO_JOBS`` /
-``REPRO_CACHE`` / ``REPRO_BACKEND`` environment defaults), plus the
-fault-tolerance trio ``max_retries=`` / ``task_timeout=`` / ``chaos=``
-passed straight through to :func:`repro.exec.run_sweep` (``None``
-defers to ``REPRO_MAX_RETRIES`` / ``REPRO_TASK_TIMEOUT``; see
+``checkpoint=`` keywords, plus the fault-tolerance trio
+``max_retries=`` / ``task_timeout=`` / ``chaos=``, all passed straight
+through to :func:`repro.exec.run_sweep` (``None`` takes its defaults:
+one serial job, no cache, no retries, no deadline; see
 :mod:`repro.exec.recovery`).
 """
 
@@ -610,8 +609,8 @@ def link_health_experiment(num_clients=4, seed=2014, n_symbols=24,
     and the payload behind ``repro report link-health --html``.
 
     Aggregates are means of dyadic-quantised per-client values, so the
-    result is bit-identical across serial/thread/process backends and
-    every chunk layout (the contract the determinism suite asserts).
+    result is bit-identical across serial/process backends and every
+    chunk layout (the contract the determinism suite asserts).
     """
     scenarios = scenarios if scenarios is not None \
         else paper_scenarios()[:1]

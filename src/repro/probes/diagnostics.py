@@ -24,7 +24,7 @@ full-duplex testbed lives by (§3, §5.4 of the paper):
 Determinism contract: every published float is quantised to a dyadic
 rational (:func:`repro.probes.taps.quantize`) so partial sums formed in
 any chunk/backend layout are exact and associative — ``probes.*``
-aggregates are bit-identical across serial, thread and process sweep
+aggregates are bit-identical across the serial and process sweep
 backends (the contract ``repro.telemetry`` inherits from ``repro.exec``).
 All decimation is keyed to *absolute stream position*, never to block
 boundaries, so block chunking cannot change a single published value.

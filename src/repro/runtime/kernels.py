@@ -112,10 +112,9 @@ class SpectralKernel:
     def spectrum(self, fft_size):
         """The kernel's FFT at ``fft_size`` bins (memoised per size).
 
-        Thread-safe: a cached kernel is shared by every stage (and, with
-        the thread-backed sweep executor, every worker) that processes
-        the same link, so concurrent first calls must not duplicate or
-        tear the memo.
+        Thread-safe: a cached kernel is shared by every stage that
+        processes the same link, whichever thread runs it, so concurrent
+        first calls must not duplicate or tear the memo.
         """
         if fft_size < self.length:
             raise ValueError(

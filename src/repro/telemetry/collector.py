@@ -10,9 +10,9 @@ an attribute lookup and nothing else.
 installed collector, falling back to a process-wide default (the null
 collector unless :func:`set_collector` changed it).  ``use_collector``
 installs a collector thread-locally for a ``with`` block — this is how
-``repro.exec`` gives each worker shard its own collector without
-parallel shards racing on shared state, and how the CLI turns a whole
-experiment run into one report.
+``repro.exec`` gives each shard its own collector, and how the CLI
+turns a whole experiment run into one report.  A collector installed
+in one thread is invisible to every other thread.
 
 **Serialisation and merge.**  ``payload()`` lowers a collector to a
 plain dict (JSON-able and picklable — it crosses the process boundary
@@ -20,7 +20,7 @@ from sweep workers); ``merge(payload)`` folds a worker's payload back
 in.  Merging in the executor's deterministic task order makes
 ``deterministic_snapshot()`` — counters, gauges, histograms with
 non-time units, and the event sequence stripped of timestamps —
-bit-identical across serial, thread and process backends.
+bit-identical across the serial and process backends.
 """
 
 from __future__ import annotations

@@ -26,8 +26,8 @@ def child_seeds(seed_or_rng, count):
     """Draw ``count`` independent integer child seeds.
 
     The seed material behind :func:`child_rngs`, exposed separately so
-    sweeps can ship a plain integer per task to worker threads and
-    processes and rebuild the exact generator there:
+    sweeps can ship a plain integer per task to worker processes and
+    rebuild the exact generator there:
     ``numpy.random.default_rng(child_seeds(s, n)[i])`` is bit-identical
     to ``child_rngs(s, n)[i]``.
     """

@@ -56,11 +56,10 @@ class TestSweepCommand:
             assert callable(args.func)
 
     def test_sweep_gains_prints_engine_stats(self, capsys):
-        assert main(["sweep", "gains", "--clients", "3", "--jobs", "2",
-                     "--backend", "thread"]) == 0
+        assert main(["sweep", "gains", "--clients", "3", "--jobs", "2"]) == 0
         out = capsys.readouterr().out
         assert "engine:" in out
-        assert "backend=thread jobs=2" in out
+        assert "backend=process jobs=2" in out
 
     def test_sweep_cache_stats_printed(self, capsys, tmp_path):
         argv = ["sweep", "gains", "--clients", "3",
@@ -92,9 +91,9 @@ class TestReportCommand:
     def test_shares_engine_flags_with_sweep(self):
         args = build_parser().parse_args(
             ["report", "gains", "--clients", "5", "--jobs", "2",
-             "--backend", "thread", "--no-cache"])
+             "--backend", "process", "--cache", "c"])
         assert args.clients == 5 and args.jobs == 2
-        assert args.backend == "thread" and args.no_cache
+        assert args.backend == "process" and args.cache == "c"
 
     def test_export_flags_parse(self, tmp_path):
         args = build_parser().parse_args(
@@ -110,8 +109,7 @@ class TestReportCommand:
         assert args.from_file == "saved.jsonl"
 
     def test_report_runs_and_prints_engine_summary(self, capsys):
-        assert main(["report", "siso", "--clients", "2", "--jobs", "2",
-                     "--backend", "thread"]) == 0
+        assert main(["report", "siso", "--clients", "2", "--jobs", "2"]) == 0
         out = capsys.readouterr().out
         assert "## Spans" in out
         assert "exec.shard" in out
@@ -133,19 +131,12 @@ class TestServeCommand:
         assert args.sessions == 16 and args.tenants == 2
         assert not args.once
 
-    def test_shares_engine_flags_with_report(self):
-        # The satellite contract: serve and report accept the same
-        # engine plumbing via _add_engine_args, no duplicated flags.
-        parser = build_parser()
-        common = ["--jobs", "2", "--backend", "thread", "--no-cache",
-                  "--checkpoint", "m.jsonl", "--max-retries", "3",
-                  "--task-timeout", "1.5", "--chaos", "seed=7"]
-        for command in (["report", "gains"], ["serve"]):
-            args = parser.parse_args(command + common)
-            assert args.jobs == 2 and args.backend == "thread"
-            assert args.no_cache and args.checkpoint == "m.jsonl"
-            assert args.max_retries == 3 and args.task_timeout == 1.5
-            assert args.chaos == "seed=7"
+    def test_rejects_engine_flags(self, capsys):
+        # serve runs no sweep, so it takes none of the engine flags.
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["serve", "--jobs", "2"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
     def test_once_runs_and_reports_conservation(self, capsys):
         assert main(["serve", "--once", "--sessions", "4",
@@ -190,8 +181,7 @@ class TestReportFromFile:
         jsonl = tmp_path / "probes.jsonl"
         html = tmp_path / "report.html"
         assert main(["report", "link-health", "--clients", "2",
-                     "--jobs", "2", "--backend", "thread",
-                     "--jsonl", str(jsonl)]) == 0
+                     "--jobs", "2", "--jsonl", str(jsonl)]) == 0
         capsys.readouterr()
         assert main(["report", "--from", str(jsonl),
                      "--html", str(html)]) == 0

@@ -21,7 +21,6 @@ from repro.exec import (
     task_fn,
 )
 from repro.exec import chaos as chaos_mod
-from repro.exec.manifest import SweepManifest
 from repro.telemetry.collector import TelemetryCollector, use_collector
 
 
@@ -101,10 +100,10 @@ class TestInjectedErrors:
         assert out.ok and out.stats.retries >= 1
         _assert_identical(out.results, _clean_results(tasks))
 
-    def test_thread_sweep_survives_error_storm(self):
+    def test_process_sweep_survives_error_storm(self):
         tasks = _tasks(8)
         chaos = ChaosPolicy(seed=3, error_rate=0.5)
-        out = run_sweep(tasks, jobs=3, backend="thread", chunk_size=2,
+        out = run_sweep(tasks, jobs=3, backend="process", chunk_size=2,
                         cache=False, retry_policy=_policy(), chaos=chaos)
         assert out.ok
         _assert_identical(out.results, _clean_results(tasks))
@@ -112,7 +111,7 @@ class TestInjectedErrors:
     def test_same_seed_same_outcome(self):
         tasks = _tasks(8)
         chaos = ChaosPolicy(seed=11, error_rate=0.4, poison=(6,))
-        runs = [run_sweep(tasks, jobs=2, backend="thread", chunk_size=2,
+        runs = [run_sweep(tasks, jobs=2, backend="process", chunk_size=2,
                           cache=False, retry_policy=_policy(), chaos=chaos)
                 for _ in range(2)]
         assert ([f.index for f in runs[0].failures]
@@ -125,7 +124,7 @@ class TestQuarantine:
     def test_exactly_poisoned_tasks_quarantined(self):
         tasks = _tasks(6)
         chaos = ChaosPolicy(seed=0, poison=(1, 4))
-        out = run_sweep(tasks, jobs=2, backend="thread", chunk_size=2,
+        out = run_sweep(tasks, jobs=2, backend="process", chunk_size=2,
                         cache=False, retry_policy=_policy(max_retries=1),
                         chaos=chaos)
         assert [f.index for f in out.failures] == [1, 4]
@@ -176,7 +175,7 @@ class TestWorkerKills:
     def test_pool_break_budget_degrades_backend(self):
         tasks = _tasks(4)
         # Every task kills its worker twice: the process pool can never
-        # finish a chunk, so the ladder must demote to threads, where
+        # finish a chunk, so the sweep must fall back to serial, where
         # the kill degrades to a charged raise and retries succeed.
         chaos = ChaosPolicy(seed=0, kill_rate=1.0, max_injected_attempts=2)
         tel = TelemetryCollector()
@@ -186,12 +185,14 @@ class TestWorkerKills:
                             retry_policy=_policy(max_retries=6,
                                                  pool_break_budget=2),
                             chaos=chaos)
-        assert out.ok and out.stats.degraded_to in ("thread", "serial")
+        assert out.ok and out.stats.degraded_to == "serial"
         _assert_identical(out.results, _clean_results(tasks))
         degrades = [e["labels"] for e in tel.events
                     if e["name"] == "exec.recovery.transition"
                     and e["labels"]["action"] == "degrade"]
-        assert degrades and degrades[0]["from"] == "process"
+        assert len(degrades) == 1
+        assert degrades[0]["from"] == "process"
+        assert degrades[0]["to"] == "serial"
 
 
 class TestHangsAndTimeouts:
@@ -204,19 +205,6 @@ class TestHangsAndTimeouts:
                         retry_policy=_policy(task_timeout_s=0.5),
                         chaos=chaos)
         assert out.ok and out.stats.timeouts >= 1
-        _assert_identical(out.results, _clean_results(tasks))
-
-    def test_thread_hang_abandoned_by_deadline(self):
-        tasks = _tasks(4)
-        chaos = ChaosPolicy(seed=9, hang_rate=0.35, hang_s=2.0)
-        hung = chaos.afflicted("hang", 4)
-        assert hung
-        out = run_sweep(tasks, jobs=2, backend="thread", chunk_size=1,
-                        cache=False,
-                        retry_policy=_policy(task_timeout_s=0.3,
-                                             timeout_grace_s=0.2),
-                        chaos=chaos)
-        assert out.ok and out.stats.timeouts >= len(hung)
         _assert_identical(out.results, _clean_results(tasks))
 
 

@@ -1,5 +1,6 @@
 """The sharded executor: ordering, backends, chunking, cache wiring."""
 
+import os
 import threading
 import time
 
@@ -27,7 +28,7 @@ def _norm(vec, scale, rng=None):
 @task_fn("test.exec.slow", version="1")
 def _slow(x, delay=0.02):
     time.sleep(delay)
-    return {"x": x, "thread": threading.current_thread().name}
+    return {"x": x, "pid": os.getpid()}
 
 
 @task_fn("test.exec.boom", version="1")
@@ -58,16 +59,19 @@ def _squares(n):
 
 class TestOrderingAndBackends:
     def test_results_in_task_order(self):
-        out = run_sweep(_squares(17), jobs=4, backend="thread")
+        out = run_sweep(_squares(17), jobs=4, backend="process")
         assert [r["sq"] for r in out.results] == [i * i for i in range(17)]
 
-    def test_serial_equals_thread_equals_chunked(self):
+    def test_serial_equals_process_equals_chunked(self):
         tasks = [Task("test.exec.draw", {"n": 6}, seed=100 + i)
                  for i in range(11)]
         serial = run_sweep(tasks, jobs=1)
-        threaded = run_sweep(tasks, jobs=4, backend="thread")
-        chunky = run_sweep(tasks, jobs=3, backend="thread", chunk_size=2)
-        for a, b in zip(serial.results, threaded.results):
+        assert serial.stats.backend == "serial"
+        # More than one job picks the process backend by default.
+        default = run_sweep(tasks, jobs=2)
+        assert default.stats.backend == "process"
+        chunky = run_sweep(tasks, jobs=3, backend="process", chunk_size=2)
+        for a, b in zip(serial.results, default.results):
             assert np.array_equal(a["v"], b["v"])
         for a, b in zip(serial.results, chunky.results):
             assert np.array_equal(a["v"], b["v"])
@@ -86,24 +90,26 @@ class TestOrderingAndBackends:
         procs = run_sweep(tasks, jobs=2, backend="process", cache=False)
         assert procs.results == serial.results
 
-    def test_threads_actually_used(self):
+    def test_processes_actually_used(self):
         out = run_sweep([Task("test.exec.slow", {"x": i}) for i in range(8)],
-                        jobs=4, backend="thread", chunk_size=1)
-        threads = {r["thread"] for r in out.results}
-        assert len(threads) > 1
+                        jobs=4, backend="process", chunk_size=1)
+        pids = {r["pid"] for r in out.results}
+        assert len(pids) > 1
+        assert os.getpid() not in pids
 
     def test_empty_sweep(self):
         out = run_sweep([])
         assert out.results == [] and out.stats.total == 0
 
     def test_invalid_backend_and_jobs(self):
-        with pytest.raises(ValueError):
-            run_sweep(_squares(2), backend="mpi")
+        for backend in ("mpi", "thread"):
+            with pytest.raises(ValueError):
+                run_sweep(_squares(2), jobs=2, backend=backend)
         with pytest.raises(ValueError):
             run_sweep(_squares(2), jobs=0)
 
     def test_stats_accounting(self):
-        out = run_sweep(_squares(10), jobs=2, backend="thread", chunk_size=3)
+        out = run_sweep(_squares(10), jobs=2, backend="process", chunk_size=3)
         assert out.stats.total == 10
         assert out.stats.executed == 10
         assert out.stats.chunks == 4
@@ -116,9 +122,9 @@ class TestErrors:
         with pytest.raises(RuntimeError, match="task 3 exploded"):
             run_sweep(tasks, jobs=1)
         with pytest.raises(RuntimeError, match="task 3 exploded"):
-            run_sweep(tasks, jobs=2, backend="thread", chunk_size=1)
+            run_sweep(tasks, jobs=2, backend="process", chunk_size=1)
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_unpicklable_error_raised_as_runtime_error(self, backend):
         # Every backend hands task errors through the same capture path,
         # which swaps an exception pickle cannot carry for a summary.
@@ -162,36 +168,7 @@ class TestCacheWiring:
         assert out.stats.cache is not None
         assert (tmp_path / "c2").is_dir()
 
-    def test_cache_false_disables(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "envcache"))
+    def test_cache_false_disables(self):
         out = run_sweep(_squares(3), cache=False)
         assert out.stats.cache is None
-
-
-class TestEnvDefaults:
-    def test_repro_jobs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "3")
-        out = run_sweep(_squares(6))
-        assert out.stats.jobs == 3
-        assert out.stats.backend == "thread"
-
-    def test_repro_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "2")
-        monkeypatch.setenv("REPRO_BACKEND", "serial")
-        out = run_sweep(_squares(6))
-        assert out.stats.backend == "serial"
-
-    def test_repro_cache_env(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "envcache"))
-        out = run_sweep(_squares(3))
-        assert out.stats.cache is not None
-        assert (tmp_path / "envcache").is_dir()
-
-    def test_bad_env_values(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "0")
-        with pytest.raises(ValueError):
-            run_sweep(_squares(2))
-        monkeypatch.setenv("REPRO_JOBS", "1")
-        monkeypatch.setenv("REPRO_BACKEND", "gpu")
-        with pytest.raises(ValueError):
-            run_sweep(_squares(2))
+        assert run_sweep(_squares(3)).stats.cache is None   # the default

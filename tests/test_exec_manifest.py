@@ -17,13 +17,6 @@ from repro.exec import (
 )
 
 
-@pytest.fixture(autouse=True)
-def _no_env_cache(monkeypatch):
-    monkeypatch.delenv("REPRO_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
-
-
 @task_fn("test.manifest.draw", version="1")
 def _draw(n, rng=None):
     return {"v": rng.standard_normal(n)}
@@ -175,8 +168,8 @@ class TestKeyboardInterrupt:
         for i in range(5):
             assert (log / f"ran-{i}").read_text() == "x"
 
-    def test_thread_interrupt_salvages_inflight_results(self, tmp_path,
-                                                        monkeypatch):
+    def test_process_interrupt_salvages_inflight_results(self, tmp_path,
+                                                         monkeypatch):
         # The interrupt lands in the dispatcher's wait(); completed
         # in-flight futures must still be banked to cache + manifest
         # before it propagates.
@@ -197,7 +190,7 @@ class TestKeyboardInterrupt:
         cache = ResultCache(tmp_path / "c")
         manifest = tmp_path / "m.jsonl"
         with pytest.raises(KeyboardInterrupt):
-            run_sweep(tasks, jobs=2, backend="thread", chunk_size=1,
+            run_sweep(tasks, jobs=2, backend="process", chunk_size=1,
                       cache=cache, checkpoint=manifest)
         stats = last_sweep_stats()
         assert stats.interrupted is True
@@ -205,7 +198,7 @@ class TestKeyboardInterrupt:
         # so the salvage pass banks all of them.
         assert self._manifest_indices(manifest) == set(range(len(tasks)))
         monkeypatch.setattr(executor_mod, "wait", real_wait)
-        again = run_sweep(tasks, jobs=2, backend="thread", chunk_size=1,
+        again = run_sweep(tasks, jobs=2, backend="process", chunk_size=1,
                           cache=ResultCache(tmp_path / "c"),
                           checkpoint=manifest)
         assert again.stats.executed == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exec import (
-    BACKEND_LADDER,
+    ChaosPolicy,
     FailureLedger,
     ResultCache,
     RetryPolicy,
@@ -12,7 +12,6 @@ from repro.exec import (
     TaskFailure,
     TaskTimeoutError,
     WorkerCrashError,
-    next_backend,
     run_sweep,
     task_fn,
 )
@@ -50,31 +49,22 @@ def _reset_flaky():
 
 
 class TestPolicyResolution:
-    def test_defaults_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MAX_RETRIES", raising=False)
-        monkeypatch.delenv("REPRO_TASK_TIMEOUT", raising=False)
+    def test_defaults_off(self):
         policy = RetryPolicy.resolve()
-        assert not policy.enabled
-        assert not policy.quarantine_enabled
-
-    def test_env_defaults(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MAX_RETRIES", "3")
-        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "2.5")
-        policy = RetryPolicy.resolve()
-        assert policy.max_retries == 3
-        assert policy.task_timeout_s == 2.5
-        assert policy.enabled and policy.quarantine_enabled
-
-    def test_kwargs_beat_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MAX_RETRIES", "3")
-        policy = RetryPolicy.resolve(max_retries=1)
-        assert policy.max_retries == 1
+        assert policy.max_retries == 0
+        assert policy.task_timeout_s is None
+        assert not policy.quarantine
 
     def test_quarantine_override(self):
         assert not RetryPolicy.resolve(max_retries=2,
-                                       quarantine=False).quarantine_enabled
-        # quarantine=True alone marks the policy configured.
-        assert RetryPolicy.resolve(quarantine=True).quarantine_enabled
+                                       quarantine=False).quarantine
+        assert RetryPolicy.resolve(quarantine=True).quarantine
+        # Any fault-tolerance keyword turns quarantine on ...
+        assert RetryPolicy.resolve(max_retries=0).quarantine
+        assert RetryPolicy.resolve(chaos=ChaosPolicy(seed=1)).quarantine
+        # ... and so does building a policy directly.
+        assert RetryPolicy().quarantine
+        assert not RetryPolicy(quarantine=False).quarantine
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -153,15 +143,6 @@ class TestLedger:
         assert "quarantined after 2" in str(record)
 
 
-class TestLadder:
-    def test_rungs(self):
-        assert BACKEND_LADDER == ("process", "thread", "serial")
-        assert next_backend("process") == "thread"
-        assert next_backend("thread") == "serial"
-        assert next_backend("serial") is None
-        assert next_backend("bogus") is None
-
-
 class TestRetrySweeps:
     def test_flaky_task_retried_to_success_serial(self):
         tasks = [Task("recovery-test.flaky",
@@ -174,16 +155,20 @@ class TestRetrySweeps:
         assert out.stats.retries == 2
         assert _FLAKY_CALLS[1] == 3
 
-    def test_flaky_task_retried_to_success_threads(self):
-        tasks = [Task("recovery-test.flaky",
-                      {"x": i, "fail_times": 1 if i in (0, 5) else 0})
-                 for i in range(6)]
+    def test_flaky_task_retried_to_success_process(self):
+        # Worker processes each count calls in their own copy of a
+        # module global, so the flakiness comes from a chaos plan keyed
+        # on (task index, attempt) instead.
+        tasks = [Task("recovery-test.flaky", {"x": i}) for i in range(6)]
+        chaos = ChaosPolicy(seed=3, error_rate=0.5)
+        flaky = chaos.afflicted("error", 6)
+        assert flaky
         policy = RetryPolicy(max_retries=2, backoff_base_s=0.001)
-        out = run_sweep(tasks, jobs=3, backend="thread", chunk_size=2,
-                        cache=False, retry_policy=policy)
+        out = run_sweep(tasks, jobs=3, backend="process", chunk_size=2,
+                        cache=False, retry_policy=policy, chaos=chaos)
         assert out.ok
         assert [r["x"] for r in out.results] == list(range(6))
-        assert out.stats.retries == 2
+        assert out.stats.retries == len(flaky)
 
     def test_quarantine_records_in_results_and_failures(self):
         tasks = [Task("recovery-test.poisoned", {"x": i, "bad": (2,)})
@@ -214,7 +199,7 @@ class TestRetrySweeps:
         with pytest.raises(ValueError, match="task 1 is poison"):
             run_sweep(tasks, jobs=1, cache=False)
         with pytest.raises(ValueError, match="task 1 is poison"):
-            run_sweep(tasks, jobs=2, backend="thread", cache=False)
+            run_sweep(tasks, jobs=2, backend="process", cache=False)
 
     def test_quarantine_off_raises_after_retries(self):
         tasks = [Task("recovery-test.poisoned", {"x": i, "bad": (0,)})
@@ -223,6 +208,15 @@ class TestRetrySweeps:
                              backoff_base_s=0.001)
         with pytest.raises(ValueError, match="task 0 is poison"):
             run_sweep(tasks, jobs=1, cache=False, retry_policy=policy)
+
+    def test_caller_policy_left_unchanged(self):
+        tasks = [Task("recovery-test.poisoned", {"x": i, "bad": (1,)})
+                 for i in range(3)]
+        policy = RetryPolicy(max_retries=1, backoff_base_s=0.001)
+        before = dict(vars(policy))
+        out = run_sweep(tasks, jobs=1, cache=False, retry_policy=policy)
+        assert [f.index for f in out.failures] == [1]
+        assert vars(policy) == before
 
     def test_retry_telemetry_counters(self):
         tasks = [Task("recovery-test.flaky", {"x": 9, "fail_times": 1}),
@@ -243,7 +237,7 @@ class TestRetrySweeps:
         plain = run_sweep(tasks, jobs=1, cache=False)
         policy = RetryPolicy(max_retries=3, task_timeout_s=30.0,
                              backoff_base_s=0.001)
-        tolerant = run_sweep(tasks, jobs=3, backend="thread", chunk_size=2,
+        tolerant = run_sweep(tasks, jobs=3, backend="process", chunk_size=2,
                              cache=False, retry_policy=policy)
         for a, b in zip(plain.results, tolerant.results):
             assert np.array_equal(a["v"], b["v"])

@@ -82,11 +82,6 @@ class TestBackendIdentity:
         for key in COMPARE:
             assert np.array_equal(serial[key], proc[key]), key
 
-    def test_thread_bit_identical_to_serial(self, serial):
-        thr = fleet_experiment(**KW, jobs=2, backend="thread", cache=False)
-        for key in COMPARE:
-            assert np.array_equal(serial[key], thr[key]), key
-
 
 class TestEngineIntegration:
     def test_warm_cache_replays_identically(self, serial, tmp_path):

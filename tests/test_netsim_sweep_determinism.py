@@ -45,13 +45,13 @@ class TestParallelMatchesSerial:
     def test_overall_gains(self):
         serial = overall_gains_experiment(num_clients=6, seed=3, jobs=1)
         parallel = overall_gains_experiment(num_clients=6, seed=3, jobs=4,
-                                            backend="thread")
+                                            backend="process")
         _assert_same_tree(serial, parallel, "overall")
 
     def test_siso_gains(self):
         serial = siso_gains_experiment(num_clients=6, seed=5, jobs=1)
         parallel = siso_gains_experiment(num_clients=6, seed=5, jobs=3,
-                                         backend="thread")
+                                         backend="process")
         _assert_same_tree(serial, parallel, "siso")
 
     def test_latency_sweep(self):
@@ -59,14 +59,14 @@ class TestParallelMatchesSerial:
                                           num_clients=4, seed=2, jobs=1)
         parallel = latency_sweep_experiment(latencies_ns=(0, 400),
                                             num_clients=4, seed=2, jobs=4,
-                                            backend="thread")
+                                            backend="process")
         _assert_same_tree(serial, parallel, "latency")
 
     def test_fault_sweep(self):
         kwargs = dict(fault_rates=(0.0, 0.3), num_clients=3, num_steps=10,
                       seed=1)
         serial = fault_sweep_experiment(jobs=1, **kwargs)
-        parallel = fault_sweep_experiment(jobs=4, backend="thread", **kwargs)
+        parallel = fault_sweep_experiment(jobs=4, backend="process", **kwargs)
         _assert_same_tree(serial, parallel, "fault")
 
     def test_fault_sweep_process_backend(self):
@@ -85,7 +85,7 @@ class TestParallelMatchesSerial:
         testbed = Testbed(paper_scenarios()[0], seed=7)
         serial = coverage_heatmap(testbed, spacing_m=6.0, seed=7, jobs=1)
         parallel = coverage_heatmap(testbed, spacing_m=6.0, seed=7, jobs=4,
-                                    backend="thread")
+                                    backend="process")
         _assert_same_tree(serial, parallel, "heatmap")
 
 

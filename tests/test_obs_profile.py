@@ -14,15 +14,16 @@ from repro.telemetry.export import read_jsonl, write_jsonl
 
 @task_fn("test.obs.profile.burn", version="1")
 def _burn_task(value, rng=None):
-    # Big enough that the sweep wall dwarfs scheduler jitter — the
-    # coverage assertion below is about attribution, not timer noise.
+    # Big enough that the sweep wall dwarfs worker-process start-up and
+    # scheduler jitter — the coverage assertion below is about
+    # attribution, not fixed dispatch cost or timer noise.
     total = 0.0
-    for i in range(40000):
+    for i in range(320000):
         total += i * 0.5
     return {"value": value, "total": total}
 
 
-def _sweep_payload(jobs=2, backend="thread", n=16):
+def _sweep_payload(jobs=2, backend="process", n=16):
     tel = TelemetryCollector(origin="profile-test")
     tasks = [Task("test.obs.profile.burn", {"value": i}, seed=300 + i)
              for i in range(n)]

@@ -22,17 +22,10 @@ def _run(jobs, backend=None):
 
 
 class TestBackendInvariance:
-    def test_thread_matches_serial(self):
-        serial, serial_snap = _run(jobs=1)
-        thread, thread_snap = _run(jobs=4, backend="thread")
-        assert serial["probes"] == thread["probes"]       # bitwise dict ==
-        assert serial["per_client"] == thread["per_client"]
-        assert serial_snap == thread_snap
-
     def test_process_matches_serial(self):
         serial, serial_snap = _run(jobs=1)
         proc, proc_snap = _run(jobs=4, backend="process")
-        assert serial["probes"] == proc["probes"]
+        assert serial["probes"] == proc["probes"]         # bitwise dict ==
         assert serial["per_client"] == proc["per_client"]
         assert serial_snap == proc_snap
 
@@ -45,7 +38,7 @@ class TestBackendInvariance:
 
 class TestPublishedMetricsDeterminism:
     def test_probe_metric_families_present_and_merged(self):
-        _, snap = _run(jobs=3, backend="thread")
+        _, snap = _run(jobs=3, backend="process")
         gauge_names = {g[0] for g in snap["gauges"]}
         assert "probes.evm.rms_db" in gauge_names
         assert "probes.spectrum.cancellation_depth_db" in gauge_names
@@ -57,7 +50,7 @@ class TestPublishedMetricsDeterminism:
     def test_fault_run_is_deterministic_too(self):
         a = link_health_experiment(fault="residual-si", jobs=1, **_KW)
         b = link_health_experiment(fault="residual-si", jobs=4,
-                                   backend="thread", **_KW)
+                                   backend="process", **_KW)
         assert a["probes"] == b["probes"]
         # ...and genuinely different from the healthy run.
         healthy = link_health_experiment(jobs=1, **_KW)

@@ -24,7 +24,7 @@ def payload():
     tel = TelemetryCollector(origin="html-test")
     with use_collector(tel):
         link_health_experiment(num_clients=2, seed=7, n_symbols=12,
-                               jobs=2, backend="thread")
+                               jobs=2, backend="process")
     return tel.payload()
 
 

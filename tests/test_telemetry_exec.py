@@ -53,13 +53,6 @@ def _sweep_snapshot(jobs, backend=None, chunk_size=None, tasks=None):
 
 
 class TestBackendInvariance:
-    def test_thread_matches_serial(self):
-        serial_tel, serial = _sweep_snapshot(jobs=1)
-        thread_tel, thread = _sweep_snapshot(jobs=4, backend="thread")
-        assert serial.results == thread.results
-        assert serial_tel.deterministic_snapshot() == \
-            thread_tel.deterministic_snapshot()
-
     def test_process_matches_serial(self):
         for tasks in (_tasks(), _array_tasks()):
             serial_tel, serial = _sweep_snapshot(jobs=1, tasks=tasks)
@@ -70,18 +63,18 @@ class TestBackendInvariance:
                 proc_tel.deterministic_snapshot()
 
     def test_chunk_layout_irrelevant(self):
-        a_tel, _ = _sweep_snapshot(jobs=3, backend="thread", chunk_size=1)
-        b_tel, _ = _sweep_snapshot(jobs=3, backend="thread", chunk_size=5)
+        a_tel, _ = _sweep_snapshot(jobs=3, backend="process", chunk_size=1)
+        b_tel, _ = _sweep_snapshot(jobs=3, backend="process", chunk_size=5)
         assert a_tel.deterministic_snapshot() == b_tel.deterministic_snapshot()
 
     def test_event_sequence_in_task_order(self):
-        tel, _ = _sweep_snapshot(jobs=4, backend="thread", chunk_size=3)
+        tel, _ = _sweep_snapshot(jobs=4, backend="process", chunk_size=3)
         values = [e["labels"]["value"] for e in tel.events
                   if e["name"] == "demo.task"]
         assert values == list(range(12))
 
     def test_task_metrics_accumulated(self):
-        tel, _ = _sweep_snapshot(jobs=2, backend="thread")
+        tel, _ = _sweep_snapshot(jobs=2, backend="process")
         calls = tel.metrics.counter_values("demo.calls")
         assert calls == {(("parity", "even"),): 6, (("parity", "odd"),): 6}
         hist = tel.histogram("demo.value", kind="input")
@@ -91,7 +84,7 @@ class TestBackendInvariance:
 
 class TestEngineMetrics:
     def test_sweep_counters_and_shard_spans(self):
-        tel, result = _sweep_snapshot(jobs=2, backend="thread", chunk_size=4)
+        tel, result = _sweep_snapshot(jobs=2, backend="process", chunk_size=4)
         assert tel.counter("exec.tasks.total").value == 12
         assert tel.counter("exec.tasks.executed").value == 12
         names = [s["name"] for s in tel.spans]
@@ -132,7 +125,7 @@ class TestEngineMetrics:
         assert "exec.dispatch." in KNOWN_METRIC_PREFIXES
 
     def test_uninstrumented_sweep_collects_nothing(self):
-        result = run_sweep(_tasks(4), jobs=2, backend="thread", cache=False)
+        result = run_sweep(_tasks(4), jobs=2, backend="process", cache=False)
         assert len(result) == 4        # and no collector was touched
 
 
@@ -146,11 +139,9 @@ class TestNetsimTelemetryDeterminism:
                                             jobs=jobs, backend=backend)
         return tel.deterministic_snapshot(), data
 
-    def test_thread_and_process_match_serial(self):
+    def test_process_matches_serial(self):
         serial_snap, serial = self._run(jobs=1)
-        thread_snap, thread = self._run(jobs=4, backend="thread")
-        assert serial_snap == thread_snap
-        np.testing.assert_array_equal(serial["fastforward"],
-                                      thread["fastforward"])
-        proc_snap, _ = self._run(jobs=2, backend="process")
+        proc_snap, proc = self._run(jobs=2, backend="process")
         assert serial_snap == proc_snap
+        np.testing.assert_array_equal(serial["fastforward"],
+                                      proc["fastforward"])
