@@ -1,6 +1,6 @@
 """Benchmark the always-on relay service: sustained load + CI gates.
 
-Runs the closed-loop load test (:mod:`repro.service.loadtest`) against
+Runs the open-loop load test (:mod:`repro.service.loadtest`) against
 a saturating population — by default 120 concurrent seeded sessions
 across 4 equal-weight tenants offering ~3600 frames/s into a dispatch
 capacity of ~2400 frames/s — plus a storm scenario that drives chains

@@ -55,7 +55,7 @@ Subpackages
     The always-on relay service: session lifecycle over seeded
     traffic, weighted-DRR scheduling with typed backpressure, shared
     memoised relay chains under per-chain supervisors, live health
-    snapshots, and closed-loop load testing (``repro serve``).
+    snapshots, and open-loop load testing (``repro serve``).
 ``repro.cli``
     ``python -m repro.cli`` — the headline experiments from a shell.
 """

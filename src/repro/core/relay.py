@@ -45,6 +45,7 @@ from repro.core.decomposition import decompose_cnf_filter
 from repro.core.latency import ISI_ICI_FACTOR, LatencyBudget, isi_useful_fraction
 from repro.phy.params import OfdmParams, WIFI_20MHZ
 from repro.telemetry.collector import current_collector
+from repro.utils.signal_ops import next_pow2
 from repro.utils.units import db_to_linear, db_to_power, power_to_db
 from repro.utils.validation import ensure_finite
 
@@ -470,7 +471,8 @@ class FastForwardRelay:
                 "sample-level processing requires a configured link")
         return self._mode
 
-    def _build_chain(self, mode, sample_rate_hz, cfo_hz, block_size):
+    def _build_chain(self, mode, sample_rate_hz, cfo_hz, block_size,
+                     frame_samples=None):
         from repro.runtime.chain import Chain, GainStage
         from repro.runtime.spectral import FrequencyResponseStage
         from repro.runtime.stage import CfoCorrectStage, CfoRestoreStage
@@ -483,7 +485,8 @@ class FastForwardRelay:
             stages.append(CfoCorrectStage(restorer))
         stages.append(FrequencyResponseStage(
             response_fn, sample_rate_hz, block_size=block_size,
-            cache_key=(self._link_token, mode), name="cnf-filter"))
+            cache_key=(self._link_token, mode), frame_samples=frame_samples,
+            name="cnf-filter"))
         stages.append(GainStage(self.amplification_db, name="amplify"))
         if restorer is not None:
             stages.append(CfoRestoreStage(restorer))
@@ -510,13 +513,22 @@ class FastForwardRelay:
         sample_rate_hz = sample_rate_hz or self.config.params.bandwidth_hz
         return self._build_chain(mode, sample_rate_hz, cfo_hz, block_size)
 
-    def _memoised_chain(self, sample_rate_hz, cfo_hz, block_size):
+    def _memoised_chain(self, sample_rate_hz, cfo_hz, n):
+        """The one-shot chain for an ``n``-sample frame (memoised).
+
+        Built for frames of up to ``next_pow2(n)`` samples, so its
+        spectral stage applies only the kernel taps such a frame can
+        reach; the power-of-two bucket keeps the memo small.  The FFT
+        hint is the bucket capped at 4096, fixed per key so the chain
+        does not depend on which frame length built it.
+        """
         # Reconfiguring clears the memo, so the key needs no link mode.
-        key = (float(sample_rate_hz), float(cfo_hz), int(block_size))
+        frame = next_pow2(n)
+        key = (float(sample_rate_hz), float(cfo_hz), frame)
         chain = self._chains.get(key)
         if chain is None:
             chain = self._build_chain(self._mode, sample_rate_hz, cfo_hz,
-                                      block_size)
+                                      min(frame, 4096), frame_samples=frame)
             self._chains[key] = chain
         return chain
 
@@ -598,8 +610,8 @@ class FastForwardRelay:
                 max(residual) if residual else None)
 
     def process(self, iq_stream, sample_rate_hz=None, cfo_hz=0.0, *,
-                block_size=4096, trace=None, faults=None, supervisor=None,
-                telemetry=None, probes=None):
+                trace=None, faults=None, supervisor=None, telemetry=None,
+                probes=None):
         """Produce the relay's transmit waveform for a received stream.
 
         The configured link fixes the input shape: a SISO relay takes a
@@ -622,9 +634,14 @@ class FastForwardRelay:
         prototype bounds this with the same 4-tap structure; here it is
         a functional model, fine away from the deepest dead spots.
 
-        A thin one-shot wrapper over :meth:`make_chain`: the chain (and
-        its cached spectral kernel) is reused across calls, so repeated
-        frames skip the per-call response-grid recomputation entirely.
+        A thin one-shot wrapper over the chain :meth:`make_chain`
+        builds: the chain (and its cached spectral kernel) is reused
+        across calls, so repeated frames skip the per-call response-grid
+        recomputation entirely.  The input is one whole frame, zero
+        outside it, so the chain's CNF stage applies only the kernel
+        taps within ``next_pow2(n) - 1`` samples of the cursor — the
+        only ones an ``n``-sample frame can meet — and its output
+        equals the full-kernel streaming chain's to round-off.
         Pass a :class:`repro.runtime.chain.ChainTrace` as ``trace`` to
         collect per-stage wall time, throughput and in/out power.
 
@@ -663,7 +680,7 @@ class FastForwardRelay:
             trace = self._auto_trace(tel)
         x = self._admit_stream(self._coerce_stream(iq_stream), supervisor)
         n = x.shape[-1]
-        chain = self._memoised_chain(sample_rate_hz, cfo_hz, block_size)
+        chain = self._memoised_chain(sample_rate_hz, cfo_hz, n)
         run_chain = chain if probes is None else probes.instrument(
             chain, sample_rate_hz=sample_rate_hz)
         with tel.span("relay.process", mode=mode):

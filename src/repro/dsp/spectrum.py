@@ -22,12 +22,14 @@ def apply_frequency_response(x, response_fn, sample_rate_hz,
     response has sinc-tail impulse content decaying only as 1/k, which
     pollutes block simulations at the -100 dB level — exactly where
     self-interference cancellation lives.  The tapered response decays
-    fast enough to be compiled into a short FIR kernel, so this is a
-    thin one-shot wrapper over the streaming runtime
+    fast enough to be compiled into a FIR kernel, so this is a thin
+    one-shot wrapper over the streaming runtime
     (:class:`repro.runtime.spectral.FrequencyResponseStage`): the
     windowed kernel is built once, applied by overlap-save, and — when
     ``cache_key`` names a stable response identity — reused across
-    calls instead of being recomputed per block.
+    calls instead of being recomputed per block.  Only the kernel taps
+    within ``x.size - 1`` of the cursor can reach a sample of ``x``, so
+    the stage is clipped to them.
     """
     from repro.runtime.spectral import FrequencyResponseStage
 
@@ -39,7 +41,7 @@ def apply_frequency_response(x, response_fn, sample_rate_hz,
     stage = FrequencyResponseStage(
         response_fn, sample_rate_hz, block_size=min(x.size, 8192),
         flat_fraction=flat_fraction, stop_fraction=stop_fraction,
-        cache_key=cache_key)
+        cache_key=cache_key, frame_samples=x.size)
     return stage.run(x)
 
 

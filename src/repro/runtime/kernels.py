@@ -3,13 +3,21 @@
 The seed implementation re-derived the whole windowed frequency-response
 grid — ``response_fn`` evaluated on a ``next_pow2(2n)``-point grid plus
 the raised-cosine band-edge window — on *every* ``process`` call.  Here
-the response is compiled **once** into a short time-domain FIR kernel
-(the windowed response decays fast, so truncating its impulse response
-at ~-110 dB keeps a few hundred taps) and reused for every block and
-every frame of a configured link.  The kernel cache is keyed on the
-response's identity, the sample rate and the window shape; the FFT of
-the kernel is additionally memoised per transform size, so a change of
-block size re-uses the same FIR.
+the response is compiled **once** into a time-domain FIR kernel, its
+impulse response truncated where the excluded tail holds at most
+``DEFAULT_TAIL_REL`` (2e-6, ~-114 dB) of the RMS mass, and reused for
+every block and every frame of a configured link.  How many taps that
+keeps depends on how smooth the response is.  Over 20 random links of
+4-tap exponential channels each (as the relay service draws them), the
+relay's CNF kernel keeps 447-645 taps (median 526) on a decomposed SISO
+link, but 5,515-8,175 (median 7,909) on an ideal SISO link and
+8,159-8,175 on a 2x2 MIMO link, whose linearly interpolated responses
+decay only like 1/t^2.  The kernel cache is keyed on the response's
+identity, the sample rate and the window shape; the FFT of the kernel
+is additionally memoised per transform size, so a change of block size
+re-uses the same FIR.  The clips one-shot frames use
+(:meth:`SpectralKernel.clipped`) are memoised on the kernel the same
+way.
 
 Design notes
 ------------
@@ -67,7 +75,7 @@ def band_edge_window(freqs_hz, sample_rate_hz, flat_fraction=0.35,
 
 @dataclass
 class SpectralKernel:
-    """A compiled frequency response: truncated FIR + memoised spectra.
+    """A compiled frequency response: truncated FIR + memoised spectra/clips.
 
     ``fir`` has the time axis last — shape ``(L,)`` for a scalar
     response or ``(n_out, n_in, L)`` for a matrix response — and starts
@@ -79,6 +87,7 @@ class SpectralKernel:
     precursor: int
     sample_rate_hz: float
     _spectra: dict = field(default_factory=dict, repr=False)
+    _clips: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self._spectra_lock = threading.Lock()
@@ -124,6 +133,29 @@ class SpectralKernel:
                 self._spectra[fft_size] = np.fft.fft(self.fir, fft_size,
                                                      axis=-1)
             return self._spectra[fft_size]
+
+    def clipped(self, reach):
+        """The kernel restricted to the taps within ``reach`` of the cursor.
+
+        Output sample ``i`` of a frame that is zero outside its ``n``
+        samples only meets taps at lags ``|k| <= n - 1``, so a one-shot
+        caller clipping at ``reach = n - 1`` gets the full kernel's
+        output, to round-off, while transforming far fewer taps.
+        Memoised per reach (like :meth:`spectrum`), so the clipped kernel
+        and its spectra are built once per cached link; a reach that
+        already covers every tap returns the kernel itself.
+        """
+        if reach >= max(self.precursor, self.postcursor):
+            return self
+        with self._spectra_lock:
+            if reach not in self._clips:
+                pre = min(self.precursor, reach)
+                start = self.precursor - pre
+                stop = self.precursor + min(self.postcursor, reach) + 1
+                self._clips[reach] = SpectralKernel(
+                    fir=self.fir[..., start:stop].copy(), precursor=pre,
+                    sample_rate_hz=self.sample_rate_hz)
+            return self._clips[reach]
 
 
 def design_windowed_kernel(response_fn, sample_rate_hz, flat_fraction=0.35,

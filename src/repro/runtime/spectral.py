@@ -15,6 +15,13 @@ the corresponding input arrives, and :meth:`flush` drains the remainder,
 so a full stream maps length-``n`` input to length-``n`` output aligned
 exactly like the one-shot path.  The lookahead is reported through
 :attr:`latency_samples` for the paper's CP latency budget.
+
+A stage built for one-shot frames (``frame_samples=N``) applies only
+the taps within ``N - 1`` of the cursor: a frame of at most ``N``
+samples, zero on either side, never meets the others, so its output
+equals the full kernel's to round-off at a fraction of the FFT work.
+Such a stage refuses a stream longer than ``N`` between resets.
+Streaming chains have no frame end and keep the full kernel.
 """
 
 from __future__ import annotations
@@ -51,19 +58,32 @@ class FrequencyResponseStage(Stage):
     flat_fraction / stop_fraction:
         Band-edge window shape (see
         :func:`repro.runtime.kernels.band_edge_window`).
+    frame_samples:
+        For a one-shot caller, the most samples pushed between resets.
+        The cached kernel is then clipped to the taps within
+        ``frame_samples - 1`` of the cursor (which bounds
+        :attr:`latency_samples` likewise), and a longer stream raises
+        ``ValueError``.  ``None`` keeps the full kernel for an unbounded
+        stream.
     """
 
     def __init__(self, response_fn, sample_rate_hz, block_size=4096,
                  flat_fraction=0.35, stop_fraction=0.48, cache_key=None,
                  grid_size=DEFAULT_GRID_SIZE, tail_rel=DEFAULT_TAIL_REL,
-                 name="freq-response"):
+                 frame_samples=None, name="freq-response"):
         if block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {block_size}")
+        if frame_samples is not None and frame_samples < 1:
+            raise ValueError(
+                f"frame_samples must be >= 1, got {frame_samples}")
         self.sample_rate_hz = float(sample_rate_hz)
         self.name = name
-        self.kernel = cached_windowed_kernel(
+        self.frame_samples = frame_samples
+        kernel = cached_windowed_kernel(
             cache_key, response_fn, sample_rate_hz, flat_fraction,
             stop_fraction, grid_size, tail_rel)
+        self.kernel = kernel if frame_samples is None \
+            else kernel.clipped(frame_samples - 1)
         length = self.kernel.length
         # The FFT must hold history (L-1) plus a useful hop; 2*L keeps
         # the hop at least L+1 even for tiny block hints.
@@ -115,7 +135,9 @@ class FrequencyResponseStage(Stage):
         else:
             out_spec = np.einsum("rtm,tm->rm", self._spectrum, spec)
         y = np.fft.ifft(out_spec, axis=-1)[..., length - 1:]
-        self._history = segment[..., -(length - 1):]
+        # Indexed from the front: a 1-tap (clipped) kernel keeps no
+        # history, and ``[-0:]`` would keep the whole segment.
+        self._history = segment[..., self.hop:]
         return y
 
     def _drain(self, x, is_input):
@@ -154,6 +176,11 @@ class FrequencyResponseStage(Stage):
         x = self._coerce(x)
         if x.shape[-1] == 0:
             return self._empty()
+        if (self.frame_samples is not None
+                and self._in_count + x.shape[-1] > self.frame_samples):
+            raise ValueError(
+                f"stage clipped for {self.frame_samples}-sample frames got "
+                f"{self._in_count + x.shape[-1]} samples since reset")
         return self._drain(x, is_input=True)
 
     def flush(self):

@@ -14,7 +14,7 @@ Layout::
     storms.py     SI-jump storms driving the PR 2 supervisor ladder
     health.py     ServiceStatus snapshots, probe refresh, StatusWriter
     server.py     ServicePump (virtual time) + RelayService (asyncio)
-    loadtest.py   closed-loop load generator + LoadTestReport
+    loadtest.py   open-loop load generator + LoadTestReport
 """
 
 from repro.service.health import (

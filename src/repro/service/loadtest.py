@@ -1,9 +1,10 @@
-"""Closed-loop load generation against the deterministic service core.
+"""Open-loop load generation against the deterministic service core.
 
 A load test is just :func:`repro.service.server.run_once` plus
 measurement: the generator half already lives in the sessions (seeded
-Poisson/CBR arrivals), so this module builds a saturating population,
-runs the pump in virtual time, and reduces the result to a
+Poisson/CBR arrivals, drawn whatever the service does, which makes the
+loop open), so this module builds a saturating population, runs the
+pump in virtual time, and reduces the result to a
 :class:`LoadTestReport` — offered vs. carried load, shed rate and
 reasons, sessions/sec sustained, p50/p99 stage latency, per-tenant
 fairness under saturation, and the SHA-256 digest of the typed event

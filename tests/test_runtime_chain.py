@@ -49,7 +49,7 @@ def _rms(a, b):
     return float(np.sqrt(np.mean(np.abs(a - b) ** 2)))
 
 
-def _siso_relay(seed=7):
+def _siso_relay(seed=7, use_decomposition=True):
     rng = np.random.default_rng(seed)
     freqs = WIFI_20MHZ.subcarrier_freqs_hz()
 
@@ -57,7 +57,7 @@ def _siso_relay(seed=7):
         return (rng.normal(size=freqs.size)
                 + 1j * rng.normal(size=freqs.size))
 
-    relay = FastForwardRelay(RelayConfig())
+    relay = FastForwardRelay(RelayConfig(use_decomposition=use_decomposition))
     relay.configure_siso_link(draw(), draw(), draw())
     return relay
 
@@ -285,3 +285,115 @@ class TestChainFailureRecovery:
         tripwire.armed = False
         chain.reset()
         assert _rms(_stream(chain, b, [900]), ref_b) <= 1e-12
+
+
+# -- one-shot reach: frames meet only the kernel taps that reach them ------
+
+@pytest.fixture(scope="module")
+def links():
+    """One relay per link kind: kind -> (relay, full-kernel half-width).
+
+    ``ideal`` is a SISO link without the §3.4 decomposition, whose
+    linearly interpolated response keeps ~8,000 kernel taps.
+    """
+    relays = {"ideal": _siso_relay(seed=43, use_decomposition=False),
+              "decomposed": _siso_relay(seed=43),
+              "mimo": _mimo_relay(seed=41)}
+    out = {}
+    for kind, relay in relays.items():
+        kernel = _cnf_stage(relay.make_chain()).kernel
+        out[kind] = (relay, max(kernel.precursor, kernel.postcursor))
+    return out
+
+
+def _cnf_stage(chain):
+    return next(s for s in chain.stages
+                if isinstance(s, FrequencyResponseStage))
+
+
+def _frame_length(draw, half_width):
+    """1..3000, the 256 edges, or a length beside the kernel half-width."""
+    return draw(st.one_of(
+        st.integers(1, 3000),
+        st.sampled_from([255, 256, 257]),
+        st.integers(half_width - 1, half_width + 2)))
+
+
+def _max_rel_err(y, ref):
+    return float(np.max(np.abs(y - ref)) / np.max(np.abs(ref)))
+
+
+class TestOneShotReach:
+    """``process`` clips the kernel to a frame's reach; output is unchanged.
+
+    The oracle is the full-kernel streaming chain of :meth:`make_chain`,
+    pumped block by block: an ``n``-sample frame, zero outside, only
+    meets taps at lags ``|k| <= n - 1``, so the clipped one-shot chain
+    must agree with it to round-off.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(),
+           kind=st.sampled_from(["ideal", "decomposed", "mimo"]),
+           cfo_hz=st.sampled_from([0.0, 1.3e3]),
+           block=st.sampled_from([256, 1024, 4096]))
+    def test_process_matches_full_kernel_stream(self, links, data, kind,
+                                                cfo_hz, block):
+        relay, half_width = links[kind]
+        n = _frame_length(data.draw, half_width)
+        rng = np.random.default_rng(n)
+        shape = (2, n) if kind == "mimo" else (n,)
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        chain = relay.make_chain(cfo_hz=cfo_hz, block_size=block)
+        chain.reset()
+        reference = _stream(chain, x, [block])
+        assert _max_rel_err(relay.process(x, cfo_hz=cfo_hz),
+                            reference) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_apply_frequency_response_matches_full_kernel(self, links, data):
+        from repro.dsp.spectrum import apply_frequency_response
+
+        relay, half_width = links["ideal"]
+        response_fn = relay._siso_response_fn()
+        n = _frame_length(data.draw, half_width)
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        key = ("one-shot-reach", id(relay))
+        reference = FrequencyResponseStage(
+            response_fn, FS, block_size=min(n, 8192), cache_key=key).run(x)
+        assert _max_rel_err(
+            apply_frequency_response(x, response_fn, FS, cache_key=key),
+            reference) <= 1e-12
+
+    def test_short_frame_runs_a_frame_sized_fft(self, links, monkeypatch):
+        relay, half_width = links["ideal"]
+        assert 2 * half_width + 1 > 4000          # the full kernel
+        seen = []
+        push = FrequencyResponseStage.process_block
+
+        def spy(stage, x):
+            seen.append((stage.fft_size, stage.latency_samples))
+            return push(stage, x)
+
+        monkeypatch.setattr(FrequencyResponseStage, "process_block", spy)
+        rng = np.random.default_rng(47)
+        relay.process(rng.normal(size=256) + 1j * rng.normal(size=256))
+        assert seen and all(fft <= 1024 and lookahead <= 255
+                            for fft, lookahead in seen)
+
+    def test_frame_stage_refuses_a_longer_stream(self, links):
+        relay, _ = links["ideal"]
+        stage = FrequencyResponseStage(relay._siso_response_fn(), FS,
+                                       frame_samples=300)
+        assert stage.latency_samples <= 299
+        x = np.ones(301, dtype=complex)
+        stage.process_block(x[:300])
+        with pytest.raises(ValueError, match="300-sample frames"):
+            stage.process_block(x[300:])
+        stage.reset()
+        with pytest.raises(ValueError, match="300-sample frames"):
+            stage.process_block(x)
+        stage.reset()
+        assert stage.run(x[:300]).shape == (300,)
