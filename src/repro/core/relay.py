@@ -210,13 +210,17 @@ class FastForwardRelay:
     def configure_mimo_link(self, h_sd, h_sr, h_rd, group_size=8):
         """Install per-subcarrier MIMO channels, shapes (n_sc, ., .).
 
-        ``h_sd``: (n_sc, N, M); ``h_sr``: (n_sc, K, M); ``h_rd``:
-        (n_sc, N, K).  One unitary is optimised per group of
-        ``group_size`` adjacent subcarriers (channels are correlated
-        across neighbouring tones, so group-level solves capture most of
-        the per-tone optimum at a fraction of the cost); per-subcarrier
-        scalar phases refine each group's filter (see
-        :func:`repro.core.cnf_filter.band_phase_alignment`).
+        ``h_sd``: (n_sc, 2, 2); ``h_sr``: (n_sc, K, 2); ``h_rd``:
+        (n_sc, 2, K) with K = 1 or 2 (the shapes
+        :func:`repro.core.cnf_filter.mimo_cnf_filter` solves).  One
+        unitary is chosen per group of ``group_size`` adjacent
+        subcarriers from the group's mean channels (channels are
+        correlated across neighbouring tones, so group-level solves
+        capture most of the per-tone optimum at a fraction of the cost);
+        per-subcarrier scalar phases then refine each group's filter
+        (see :func:`repro.core.cnf_filter.band_phase_alignment`).  All
+        groups are solved in one ``mimo_cnf_filter`` call and all tones
+        aligned in one ``band_phase_alignment`` call.
         """
         h_sd = np.asarray(h_sd, dtype=complex)
         h_sr = np.asarray(h_sr, dtype=complex)
@@ -241,17 +245,15 @@ class FastForwardRelay:
                 np.eye(k, dtype=complex), (n_sc, k, k)).copy()
             self._mimo_phases = np.zeros(n_sc)
             return self
-        self._mimo_f0 = np.empty((n_sc, k, k), dtype=complex)
-        self._mimo_phases = np.empty(n_sc)
-        for start in range(0, n_sc, group_size):
-            group = slice(start, min(start + group_size, n_sc))
-            f_group = mimo_cnf_filter(
-                h_sd[group].mean(axis=0), h_sr[group].mean(axis=0),
-                h_rd[group].mean(axis=0), self.amplification_db)
-            self._mimo_f0[group] = f_group
-            self._mimo_phases[group] = band_phase_alignment(
-                h_sd[group], h_sr[group], h_rd[group], f_group,
-                self.amplification_db)
+        starts = np.arange(0, n_sc, group_size)
+        sizes = np.diff(np.append(starts, n_sc))
+        f_groups = mimo_cnf_filter(
+            *(np.add.reduceat(h, starts, axis=0) / sizes[:, None, None]
+              for h in (h_sd, h_sr, h_rd)),
+            self.amplification_db)
+        self._mimo_f0 = np.repeat(f_groups, sizes, axis=0)
+        self._mimo_phases = band_phase_alignment(
+            h_sd, h_sr, h_rd, self._mimo_f0, self.amplification_db)
         return self
 
     # -- link-level results ----------------------------------------------
@@ -361,6 +363,7 @@ class FastForwardRelay:
         h_eff = np.empty_like(self._h_sd)
         noise_cov = np.empty((n_sc, n_rx, n_rx), dtype=complex)
         eye = np.eye(n_rx)
+        recirc = self._recirculation_factor(extra_path_delay_s)
         for s in range(n_sc):
             f = np.exp(1j * self._mimo_phases[s]) * self._mimo_f0[s]
             relay_term = self._h_rd[s] @ f @ (a * self._h_sr[s])
@@ -373,7 +376,6 @@ class FastForwardRelay:
                         * np.mean(np.abs(relay_term) ** 2)
                         * self._h_sd.shape[2])
                 cov = cov + lost * eye
-            recirc = self._recirculation_factor(extra_path_delay_s)
             if recirc > 0.0:
                 cov = cov + recirc * p_per_stream \
                     * (relay_term @ relay_term.conj().T)

@@ -31,7 +31,7 @@ import numpy as np
 from repro.core.baselines import AmplifyForwardRelay, half_duplex_throughput_mbps
 from repro.core.latency import LatencyBudget
 from repro.core.relay import FastForwardRelay, RelayConfig
-from repro.exec import Task, run_sweep, task_fn
+from repro.exec import Task, resolve_task_fn, run_sweep, task_fn
 from repro.netsim.metrics import median_gain, percentile_gain, relative_gains
 from repro.netsim.testbed import Testbed, paper_scenarios
 from repro.telemetry.collector import current_collector
@@ -84,9 +84,10 @@ def _client_tasks(fn_name, scenarios, num_clients, seed, stream, extra=None,
     ``netsim.client-block`` task (amortising per-task dispatch,
     serialisation and cache bookkeeping); per-client seeds travel inside
     the block, so flattened results are bit-identical to the per-client
-    layout in the same order.  ``None`` means one task per client, the
-    layout every cache entry and manifest produced so far was keyed
-    under.
+    layout in the same order.  The block carries ``fn_name``'s
+    registered version, so its cache key changes whenever a per-client
+    task's would.  ``None`` means one task per client, the layout every
+    cache entry and manifest produced so far was keyed under.
     """
     units = []
     for s_idx, scenario in enumerate(scenarios):
@@ -103,9 +104,10 @@ def _client_tasks(fn_name, scenarios, num_clients, seed, stream, extra=None,
     if not block_size or block_size <= 1:
         return [Task(fn_name, params, seed=client_seed)
                 for params, client_seed in units]
+    _, fn_version = resolve_task_fn(fn_name)
     return [
         Task("netsim.client-block",
-             {"fn_name": fn_name,
+             {"fn_name": fn_name, "fn_version": fn_version,
               "blocks": tuple(units[i : i + block_size])})
         for i in range(0, len(units), int(block_size))
     ]
@@ -149,7 +151,7 @@ def _ft_kwargs(max_retries, task_timeout, chaos):
 # ---------------------------------------------------------------------------
 
 @task_fn("netsim.client-block", version="1")
-def _client_block(fn_name, blocks):
+def _client_block(fn_name, fn_version, blocks):
     """Run a registered per-client task over a whole block of clients.
 
     ``blocks`` is a sequence of ``(params, seed)`` pairs; each client's
@@ -159,10 +161,17 @@ def _client_block(fn_name, blocks):
     amortises engine dispatch, result pickling and cache bookkeeping
     over ``len(blocks)`` clients — the netsim half of the sweep fast
     path (the PHY half batches inside the signal processing itself).
-    """
-    from repro.exec.task import resolve_task_fn
 
-    fn, _ = resolve_task_fn(fn_name)
+    ``fn_version`` is the version ``fn_name`` was registered under when
+    the block was built; as a parameter it enters the block's cache
+    key.  A block built under another version is refused, so no cache
+    entry is ever stored under a version its rows did not come from.
+    """
+    fn, version = resolve_task_fn(fn_name)
+    if version != fn_version:
+        raise ValueError(
+            f"client block built for {fn_name!r} version {fn_version!r}, "
+            f"but version {version!r} is registered")
     rows = []
     for params, client_seed in blocks:
         kwargs = dict(params)
@@ -172,7 +181,7 @@ def _client_block(fn_name, blocks):
     return rows
 
 
-@task_fn("netsim.overall-gains-client", version="1")
+@task_fn("netsim.overall-gains-client", version="2")
 def _overall_gains_client(scenario, testbed_seed, client, relay_config=None,
                           rng=None):
     """Figs. 12/13/15 work unit: the three schemes' rates for one client."""
@@ -240,7 +249,7 @@ def _uplink_gains_client(scenario, testbed_seed, client,
                 h_sd, tx_power_dbm=client_tx_power_dbm))}
 
 
-@task_fn("netsim.latency-client", version="1")
+@task_fn("netsim.latency-client", version="2")
 def _latency_client(scenario, testbed_seed, client, extra_buffering_s,
                     rng=None):
     """Fig. 16 work unit: FF vs HD at one buffering depth."""
@@ -311,7 +320,7 @@ def _link_health_client(scenario, testbed_seed, client, n_symbols=24,
     return probes.summary()
 
 
-@task_fn("netsim.cancellation-client", version="1")
+@task_fn("netsim.cancellation-client", version="2")
 def _cancellation_client(scenario, testbed_seed, client, cancellation_db,
                          rng=None):
     """Fig. 18 work unit: FF vs HD at one cancellation depth."""

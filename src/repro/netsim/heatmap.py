@@ -40,7 +40,7 @@ class HeatmapResult:
         return float(np.mean(field >= num_streams))
 
 
-@task_fn("netsim.coverage-point", version="1")
+@task_fn("netsim.coverage-point", version="2")
 def _coverage_point(testbed, point, rng=None):
     """Both coverage fields (SNR and streams) at one grid point."""
     h_sd, h_sr, h_rd = testbed.siso_triple(point, rng)

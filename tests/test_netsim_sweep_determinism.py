@@ -10,9 +10,12 @@ every output array bit-for-bit across execution modes.
 import dataclasses
 
 import numpy as np
+import pytest
 
+from repro.exec import task as task_module
 from repro.netsim.experiments import (
     _block_rows,
+    _client_tasks,
     fault_sweep_experiment,
     latency_sweep_experiment,
     overall_gains_experiment,
@@ -140,6 +143,27 @@ class TestClientBlocks:
                                         block_size=4)
         for key in ("ap_only", "half_duplex", "fastforward"):
             assert np.array_equal(base[key], blocked[key])
+
+    def test_block_key_follows_inner_task_version(self, monkeypatch):
+        # A cached block must not outlive a version bump of the per-client
+        # task it runs (e.g. a new CNF solver behind overall-gains).
+        name = "netsim.overall-gains-client"
+
+        def first_tasks():
+            layouts = [_client_tasks(name, paper_scenarios()[:1], 4, seed=3,
+                                     stream=100, block_size=size)
+                       for size in (None, 4)]
+            return [tasks[0] for tasks in layouts]
+
+        client, block = first_tasks()
+        keys = [client.cache_key(), block.cache_key()]
+        fn, version = task_module._REGISTRY[name]
+        monkeypatch.setitem(task_module._REGISTRY, name, (fn, version + "+1"))
+        bumped = [task.cache_key() for task in first_tasks()]
+        assert bumped[0] != keys[0]
+        assert bumped[1] != keys[1]
+        with pytest.raises(ValueError, match="version"):
+            block.run()
 
     def test_block_rows_flattens_preserving_order(self):
         rows = _block_rows([[1, 2], [3], 4, [5, 6]])
