@@ -30,7 +30,6 @@ Usage::
 import argparse
 import json
 import os
-import platform
 import sys
 import time
 
@@ -38,6 +37,7 @@ import numpy as np
 
 from repro.exec import ChaosPolicy, RetryPolicy, run_sweep
 from repro.netsim.experiments import _client_tasks, paper_scenarios
+from machine import machine_block
 
 RESULT_KEYS = ("ap", "hd", "ff", "snr", "streams")
 
@@ -132,8 +132,7 @@ def run(args):
             "degraded_to": chaotic.stats.degraded_to,
         },
         "gates_failed": failures,
-        "machine": {"python": platform.python_version(),
-                    "cpus": os.cpu_count()},
+        "machine": machine_block(),
     }
     return record, failures, overhead
 

@@ -29,7 +29,6 @@ Usage::
 import argparse
 import json
 import os
-import platform
 import shutil
 import tempfile
 import time
@@ -37,6 +36,7 @@ import time
 import numpy as np
 
 from repro.fleet import fleet_experiment
+from machine import machine_block
 
 COMPARE_KEYS = ("throughput_mbps", "reroute_latency_intervals", "rescued",
                 "relay_load")
@@ -129,8 +129,7 @@ def run(args):
         "throughput_cdf": serial["throughput_cdf"],
         "latency_cdf": serial["latency_cdf"],
         "gates_failed": failures,
-        "machine": {"python": platform.python_version(),
-                    "cpus": os.cpu_count()},
+        "machine": machine_block(),
     }
     return record, failures
 

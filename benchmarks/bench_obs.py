@@ -11,8 +11,8 @@ writing the measurements to ``BENCH_obs.json`` at the repo root:
   tree build, attribution, flamegraph render — must stay under 5% of
   the sweep wall it explains (``--max-overhead``);
 * **diff** — the freshly-written record must self-diff clean, and a
-  synthetic 2x regression injected into ``parallel_s`` (with the
-  speedup halved to match) must be flagged as a regression;
+  synthetic 2x regression injected into ``sweep_s`` (with the
+  attribution ``coverage`` halved) must be flagged as a regression;
 * **slo** — the storm-scenario service run must fire SLO burn-rate
   alerts into ``status.json``, and two same-seed runs must produce
   bit-identical alert streams.
@@ -27,7 +27,6 @@ Usage::
 import argparse
 import json
 import os
-import platform
 import sys
 import tempfile
 import time
@@ -38,14 +37,7 @@ from repro.obs.diff import flatten_bench
 from repro.obs.flamegraph import write_flamegraph_html
 from repro.service import ServeConfig, run_once
 from repro.telemetry import TelemetryCollector, use_collector
-
-
-def available_cpus():
-    """CPUs this process may actually run on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
+from machine import available_cpus, machine_block
 
 
 def run_profile(clients, jobs, seed, flamegraph_path):
@@ -160,9 +152,7 @@ def main(argv=None):
     record = {
         "profile": run_profile(args.clients, args.jobs, args.seed,
                                args.flamegraph),
-        "machine": {"python": platform.python_version(),
-                    "cpus": os.cpu_count(),
-                    "available_cpus": available_cpus()},
+        "machine": machine_block(),
         "config": {"clients": args.clients, "jobs": args.jobs,
                    "seed": args.seed, "backend": "process"},
     }

@@ -29,7 +29,6 @@ Usage::
 import argparse
 import json
 import os
-import platform
 import sys
 import time
 
@@ -37,6 +36,7 @@ import numpy as np
 
 from repro.phy import Receiver, Transmitter, TxConfig
 from repro.utils import awgn_like, make_rng
+from machine import machine_block
 
 
 class _ReferenceViterbi:
@@ -138,8 +138,7 @@ def run(packets, mcs, num_bits, snr_db, seed, repeats):
         "speedup_batched_vs_reference": round(ref_s / batch_s, 2),
         "speedup_batched_vs_per_packet": round(pkt_s / batch_s, 2),
         "speedup_per_packet_vs_reference": round(ref_s / pkt_s, 2),
-        "machine": {"python": platform.python_version(),
-                    "cpus": os.cpu_count()},
+        "machine": machine_block(),
     }
     return record
 

@@ -34,19 +34,11 @@ Usage::
 import argparse
 import json
 import os
-import platform
 import sys
 import time
 
 from repro.service import LoadTestConfig, run_loadtest
-
-
-def available_cpus():
-    """CPUs this process may actually run on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
+from machine import available_cpus, machine_block
 
 
 def _run(label, config):
@@ -81,9 +73,7 @@ def run(sessions, tenants, seed, duration, rate, capacity, storm_rate):
                           "wall_s": round(wall_sat, 3)},
             "storm": {**storm.as_dict(), "wall_s": round(wall_storm, 3)},
         },
-        "machine": {"python": platform.python_version(),
-                    "cpus": os.cpu_count(),
-                    "available_cpus": cpus},
+        "machine": machine_block(),
     }
 
 

@@ -28,7 +28,6 @@ Usage::
 import argparse
 import json
 import os
-import platform
 import sys
 import tempfile
 import time
@@ -37,16 +36,9 @@ import numpy as np
 
 from repro.exec import ResultCache, last_sweep_stats
 from repro.netsim.experiments import overall_gains_experiment
+from machine import available_cpus, machine_block
 
 ARRAY_KEYS = ("ap_only", "half_duplex", "fastforward")
-
-
-def available_cpus():
-    """CPUs this process may actually run on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
 
 
 def _timed(label, fn):
@@ -102,9 +94,7 @@ def run(clients, jobs, seed, block):
         },
         "cache": {"hits": cache_stats.hits, "misses": cache_stats.misses,
                   "stores": cache_stats.stores},
-        "machine": {"python": platform.python_version(),
-                    "cpus": os.cpu_count(),
-                    "available_cpus": cpus},
+        "machine": machine_block(),
     }
 
 

@@ -14,6 +14,23 @@ The joint problem  ``min sum_i |H_a(f_i) * H_p(f_i) - H_c(f_i)|^2``  is
 biconvex: fixing either stage makes the other a linear least-squares
 solve.  Alternating those two solves is the textbook sequential-convex-
 programming recipe the paper cites [7].
+
+The analog solve is bounded: the step attenuators cap every tap at
+``|g| <= 1`` (the constrained analog filter design of Xu, Duan and
+Zhang, arXiv:1607.00510).  With ``W`` the weighted analog basis and
+``b`` the weighted target, the ridge solution minimises
+``|W g - b|^2 + lam |g|^2``, i.e. solves ``(Wᴴ W + lam I) g = Wᴴ b``.
+One SVD ``W = U diag(s) Vᴴ`` diagonalises both sides:
+``Wᴴ W + lam I = V diag(s² + lam) Vᴴ`` and ``Wᴴ b = V diag(s) β`` with
+``β = Uᴴ b``, so for every ``lam``::
+
+    g(lam) = V (s β / (s² + lam))
+
+and ``lam -> 0`` leaves the min-norm least-squares solution
+``V (β / s)`` over the non-zero ``s``.  The bounded solve is ``g(lam)``
+at the ``lam`` where ``max|g|`` falls to 1, which
+:func:`repro.dsp.tapped_delay_line.bounded_lstsq` brackets on log grids
+of ``lam`` with no linear solve per candidate.
 """
 
 from __future__ import annotations
@@ -23,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dsp.fir import fir_frequency_response
-from repro.dsp.tapped_delay_line import AnalogTapDelayLine
+from repro.dsp.tapped_delay_line import AnalogTapDelayLine, bounded_lstsq
 
 
 @dataclass
@@ -127,52 +144,28 @@ def _decompose_once(freqs, target, digital_taps, digital_rate_hz,
     total_freq = carrier_hz + freqs
     analog_basis = np.exp(-2j * np.pi * np.outer(total_freq, line.tap_delays_s))
 
-    wt = w * 1.0  # weighted residual column
-
-    def solve_analog(hp_resp):
-        # The analog taps sit fractions of a wavelength apart, so the
-        # unconstrained LS wants huge mutually-cancelling gains that the
-        # step attenuators (|g| <= 1) cannot realise.  Solve bounded,
-        # then rebalance overall magnitude into the digital stage (the
-        # cascade H_a * H_p is invariant under that exchange).
-        weighted = analog_basis * (hp_resp * w)[:, None]
-        gram = weighted.conj().T @ weighted
-        rhs = weighted.conj().T @ (target * wt)
-        g = np.linalg.lstsq(weighted, target * wt, rcond=None)[0]
-        if np.abs(g).max() <= 1.0:
-            return g
-        scale = np.real(np.trace(gram)) / gram.shape[0]
-        lo, hi = 1e-12 * scale, 1e6 * scale
-        for _ in range(60):
-            lam = np.sqrt(lo * hi)
-            g = np.linalg.solve(gram + lam * np.eye(gram.shape[0]), rhs)
-            if np.abs(g).max() > 1.0:
-                lo = lam
-            else:
-                hi = lam
-        return np.linalg.solve(gram + hi * np.eye(gram.shape[0]), rhs)
-
     for _ in range(max(1, iterations)):
-        # Solve the analog gains given the digital response.
+        # Solve the bounded analog gains given the digital response.
         hp_resp = digital_basis @ h_p
-        g = solve_analog(hp_resp)
+        g, _ = bounded_lstsq(analog_basis * (hp_resp * w)[:, None],
+                             target * w, 1.0)
         # Move any headroom into the digital taps so the attenuators
-        # operate near the top of their range (best quantisation SNR).
+        # operate near the top of their range (best quantisation SNR);
+        # the digital solve below takes up the scale.
         peak = np.abs(g).max()
         if 0 < peak < 1.0:
             g = g / peak
-            h_p = h_p * peak
         line.set_gains(g)
         # Solve the digital taps given the analog response.
         ha_resp = analog_basis @ line.gains
         weighted = digital_basis * (ha_resp * w)[:, None]
-        h_p, *_ = np.linalg.lstsq(weighted, target * wt, rcond=None)
+        h_p, *_ = np.linalg.lstsq(weighted, target * w, rcond=None)
 
     if quantize:
         line.set_gains(line.quantize_gains(line.gains))
         ha_resp = analog_basis @ line.gains
         weighted = digital_basis * (ha_resp * w)[:, None]
-        h_p, *_ = np.linalg.lstsq(weighted, target * wt, rcond=None)
+        h_p, *_ = np.linalg.lstsq(weighted, target * w, rcond=None)
 
     realised = (digital_basis @ h_p) * (analog_basis @ line.gains)
     target_power = np.mean((np.abs(target) * w) ** 2)

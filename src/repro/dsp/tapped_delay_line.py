@@ -188,9 +188,9 @@ class AnalogTapDelayLine:
         in-band responses are nearly collinear and the unconstrained LS
         solution wants enormous mutually-cancelling gains — which step
         attenuators (gain <= 1) cannot realise.  ``max_gain`` activates
-        a ridge-regularised solve whose regulariser is bisected until
-        every tap gain fits the hardware range; this is what a physical
-        tuning loop converges to.
+        a ridge-regularised solve (:func:`bounded_lstsq`) whose
+        regulariser is bisected until every tap gain fits the hardware
+        range; this is what a physical tuning loop converges to.
         """
         f = np.atleast_1d(np.asarray(baseband_freqs_hz, dtype=float))
         d = np.atleast_1d(np.asarray(desired_response, dtype=complex))
@@ -198,18 +198,39 @@ class AnalogTapDelayLine:
             raise ValueError("frequency grid and desired response must match")
         total_freq = self.carrier_hz + f
         basis = np.exp(-2j * np.pi * np.outer(total_freq, self.tap_delays_s))
-        gains, *_ = np.linalg.lstsq(basis, d, rcond=None)
-        if max_gain is None or np.abs(gains).max() <= max_gain:
-            return gains
-        gram = basis.conj().T @ basis
-        rhs = basis.conj().T @ d
-        scale = np.real(np.trace(gram)) / gram.shape[0]
-        lo, hi = 1e-12 * scale, 1e3 * scale
-        for _ in range(60):
-            lam = np.sqrt(lo * hi)
-            gains = np.linalg.solve(gram + lam * np.eye(gram.shape[0]), rhs)
-            if np.abs(gains).max() > max_gain:
-                lo = lam
-            else:
-                hi = lam
-        return np.linalg.solve(gram + hi * np.eye(gram.shape[0]), rhs)
+        return bounded_lstsq(basis, d, np.inf if max_gain is None else max_gain)[0]
+
+
+#: The ridge search: 7 rounds of six bisection steps (λ to ~1e-11 relative).
+_RIDGE_GRID = np.linspace(0.0, 1.0, 2 ** 6 + 1)
+_RIDGE_ROUNDS = 7
+
+
+def bounded_lstsq(basis, target, max_gain):
+    """``(g, lam)``: least squares ``basis @ g ≈ target``, ``max|g| <= max_gain``.
+
+    One SVD gives the min-norm solution (``lam = 0``, under
+    ``np.linalg.lstsq``'s cutoff) and every ridge solution ``g(lam)``
+    (derivation in :mod:`repro.core.decomposition`).  When the former
+    breaks the bound, ``lam`` is bisected over [1e-12, 1e6] x the mean
+    ``s²``, six steps per grid, and returned on the feasible side.
+    """
+    u, s, vh = np.linalg.svd(basis, full_matrices=False)
+    beta = u.conj().T @ target
+    keep = s > np.finfo(float).eps * max(basis.shape) * s[0]
+    gains = vh.conj().T @ (np.where(keep, beta, 0.0) / np.where(keep, s, 1.0))
+    if np.abs(gains).max() <= max_gain:
+        return gains, 0.0
+    coef = vh.conj().T * (s * beta)     # g(λ) = coef @ (1 / (s² + λ))
+    s2 = s[:, None] ** 2
+    lo, hi = np.log(np.array([1e-12, 1e6]) * np.sum(s2) / basis.shape[1])
+    for _ in range(_RIDGE_ROUNDS):
+        lams = np.exp(lo + (hi - lo) * _RIDGE_GRID)
+        gains = coef @ (1.0 / (s2 + lams))
+        over = (np.abs(gains) > max_gain).any(axis=0)
+        i, j = 0, lams.size - 1
+        while j - i > 1:
+            mid = (i + j) // 2
+            i, j = (mid, j) if over[mid] else (i, mid)
+        lo, hi = np.log(lams[i]), np.log(lams[j])
+    return gains[:, j], float(lams[j])

@@ -211,7 +211,7 @@ def _overall_gains_client(scenario, testbed_seed, client, relay_config=None,
             "streams": int(streams)}
 
 
-@task_fn("netsim.siso-gains-client", version="1")
+@task_fn("netsim.siso-gains-client", version="2")
 def _siso_gains_client(scenario, testbed_seed, client, rng=None):
     """Fig. 14 work unit: SISO AP/HD/FF rates for one client."""
     testbed = Testbed(scenario, seed=testbed_seed)
@@ -230,7 +230,7 @@ def _siso_gains_client(scenario, testbed_seed, client, rng=None):
             "ff": float(ff_siso_rate(relay, delay))}
 
 
-@task_fn("netsim.uplink-gains-client", version="1")
+@task_fn("netsim.uplink-gains-client", version="2")
 def _uplink_gains_client(scenario, testbed_seed, client,
                          client_tx_power_dbm=15.0, rng=None):
     """Uplink work unit: reciprocal roles, client-power budget."""

@@ -6,9 +6,10 @@ that moved past a threshold in the *bad* direction.  Two input shapes:
 * **BENCH_*.json** — the repo's committed benchmark baselines (nested
   dicts of numbers).  Leaves are flattened to dotted paths and
   classified by name: ``*_s``/``*_ns``/``latency``/``shed``/… are
-  lower-is-better, ``*speedup``/``throughput``/``coverage``/… are
-  higher-is-better, everything else is informational (reported when
-  changed, never a regression).
+  lower-is-better, ``throughput``/``coverage``/… are higher-is-better,
+  everything else is informational (reported when changed, never a
+  regression) — ``*speedup`` too: each is a ratio of two times the
+  record gates itself, and a faster cold run lowers a warm-cache one.
 * **telemetry JSONL** — a ``repro report --jsonl`` export.  Span
   groups diff on total wall time, histograms on their mean; counters
   are informational.
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 #: wins ties by running first on *more specific* tokens, so e.g.
 #: ``hit_rate`` is higher-better even though bare ``rate`` is not
 #: classified.
-_HIGHER_BETTER = ("speedup", "throughput", "hit_rate", "carried_fps",
+_HIGHER_BETTER = ("throughput", "hit_rate", "carried_fps",
                   "offered_fps", "coverage", "rescue", "per_second",
                   "concurrency")
 #: Unit suffixes matched against the *leaf* key only (``parallel_s``,

@@ -5,6 +5,7 @@ import pytest
 
 from repro.cancellation import AnalogCancellationBoard, SelfInterferenceChannel
 from repro.utils import make_rng
+from tests.decomposition_oracle import bisect_bounded_lstsq
 
 
 def _grid(fs=160e6, frac=0.1016, n=65):
@@ -59,6 +60,24 @@ class TestQuantisation:
         att_db = -20.0 * np.log10(mags[nz])
         steps = att_db / board.line.attenuation_step_db
         assert np.allclose(steps, np.round(steps), atol=1e-6)
+
+    def test_attenuators_match_bisection_oracle(self):
+        # The board's ideal solve used to bisect its ridge over
+        # [1e-12, 1e3] x scale with np.linalg.solve; the SVD solve
+        # searches [1e-12, 1e6] x scale and must program the same
+        # attenuator steps on the typical channels.
+        board = AnalogCancellationBoard()
+        line, grid = board.line, _grid()
+        basis = np.exp(-2j * np.pi * np.outer(line.carrier_hz + grid,
+                                              line.tap_delays_s))
+        for seed in range(5):
+            si = SelfInterferenceChannel.typical(rng=make_rng(seed))
+            target = -si.frequency_response(grid) / board.insertion_gain
+            gains = line.solve_gains_for_response(grid, target, max_gain=1.0)
+            ref, _ = bisect_bounded_lstsq(basis, target, hi_scale=1e3)
+            assert np.allclose(np.abs(line.quantize_gains(gains)),
+                               np.abs(line.quantize_gains(ref)),
+                               rtol=1e-9, atol=0.0)
 
     def test_refinement_never_hurts(self):
         si = SelfInterferenceChannel.typical(rng=make_rng(3))

@@ -5,6 +5,7 @@ import pytest
 
 from repro.channel import fig1_home, PropagationModel
 from repro.core import FastForwardRelay, LatencyBudget, RelayConfig
+from repro.netsim.throughput import ff_siso_rate
 from repro.phy.params import WIFI_20MHZ
 from repro.phy.rates import effective_snr_db
 from repro.utils import make_rng
@@ -84,6 +85,33 @@ class TestSisoLink:
         slow = FastForwardRelay(slow_cfg).configure_siso_link(h_sd, h_sr, h_rd)
         assert effective_snr_db(slow.destination_snr_db()) < \
             effective_snr_db(fast.destination_snr_db()) - 3.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("link,rate", [
+        ("zero-direct", 28.88888888888889),
+        ("zero-source-relay", 0.0),
+        ("zero-relay-destination", 0.0),
+        ("all-zero", 0.0),
+        ("relay-on-one-tone", 0.0),
+    ])
+    def test_degenerate_links_stay_finite(self, home_channels, link, rate):
+        # A zero weighted analog basis (every singular value 0) must not
+        # reach a 0/0 in the bounded analog-tap solve; rates are pinned
+        # to the bisection solve's.
+        h_sd, h_sr, h_rd = home_channels
+        one_tone = np.zeros_like(h_sr)
+        one_tone[7] = h_sr[7]
+        channels = {
+            "zero-direct": (0 * h_sd, h_sr, h_rd),
+            "zero-source-relay": (h_sd, 0 * h_sr, h_rd),
+            "zero-relay-destination": (h_sd, h_sr, 0 * h_rd),
+            "all-zero": (0 * h_sd, 0 * h_sr, 0 * h_rd),
+            "relay-on-one-tone": (h_sd, one_tone, h_rd),
+        }[link]
+        relay = FastForwardRelay().configure_siso_link(*channels)
+        assert np.isfinite(relay.destination_snr_db()).all()
+        assert np.isfinite(relay.filter_response).all()
+        assert ff_siso_rate(relay) == rate
 
     def test_shape_mismatch_rejected(self):
         relay = FastForwardRelay()

@@ -23,8 +23,8 @@ class TestClassify:
         ("latency.queue.p99_ms", "lower"),
         ("fairness.max_deviation", "lower"),
         ("frames.shed_rate", "lower"),
-        ("parallel_speedup", "higher"),
-        ("warm_cache_speedup", "higher"),
+        ("parallel_speedup", None),
+        ("warm_cache_speedup", None),
         ("frames.carried_fps", "higher"),
         ("cache.hit_rate", "higher"),
         ("block_size", None),
@@ -63,8 +63,8 @@ class TestDiffMetrics:
         assert entry.ratio == pytest.approx(2.0)
 
     def test_higher_better_regression(self):
-        report = diff_metrics({"parallel_speedup": 2.0},
-                              {"parallel_speedup": 1.0})
+        report = diff_metrics({"cache.hit_rate": 0.9},
+                              {"cache.hit_rate": 0.4})
         assert not report.ok
 
     def test_improvement_not_regression(self):
@@ -118,6 +118,29 @@ class TestDiffRuns:
         worse = self._bench(tmp_path, "worse.json", parallel_s=25.0)
         report = diff_runs(base, worse)
         assert [e.metric for e in report.regressions] == ["parallel_s"]
+
+    def test_faster_cold_sweep_is_not_a_speedup_regression(self, tmp_path):
+        # A sweep record before and after its cold serial run got 9x
+        # faster: warm_cache_speedup (cold / warm) falls 250 -> 30x
+        # while every time it is built from improved.
+        base = self._bench(tmp_path, "base.json", serial_s=16.92,
+                           parallel_s=10.87, parallel_speedup=1.56,
+                           warm_cache_s=0.068, warm_cache_speedup=250.0)
+        new = self._bench(tmp_path, "new.json", serial_s=1.81,
+                          parallel_s=1.05, parallel_speedup=1.73,
+                          warm_cache_s=0.060, warm_cache_speedup=30.1)
+        report = diff_runs(base, new)
+        assert report.ok
+        assert {e.metric for e in report.improvements} == {"parallel_s",
+                                                           "serial_s"}
+        statuses = {e.metric: e.status for e in report.entries}
+        assert statuses["warm_cache_speedup"] == "changed"
+        # The times a speedup is built from still gate it.
+        slower = self._bench(tmp_path, "slower.json", serial_s=16.92,
+                             parallel_s=10.87, warm_cache_s=0.68,
+                             warm_cache_speedup=25.0)
+        assert [e.metric for e in diff_runs(base, slower).regressions] == \
+            ["warm_cache_s"]
 
     def test_telemetry_runs_diff_on_span_totals(self, tmp_path):
         def export(name, burn):
