@@ -3,8 +3,9 @@
 Decodes one burst of independently generated, noisy packets three ways:
 
 * ``reference``  — per-packet :meth:`Receiver.receive` with the
-  retained pre-refactor scalar Viterbi (``decode_reference``), i.e.
-  the per-symbol/per-step Python loops the batched path replaced;
+  pre-refactor scalar Viterbi (``viterbi_decode_reference`` in
+  ``tests/phy_oracle.py``), i.e. the per-symbol/per-step Python loops
+  the batched path replaced;
 * ``per_packet`` — :meth:`Receiver.receive` as shipped (batched numpy
   inside, but still one packet per call);
 * ``batched``    — :meth:`Receiver.receive_batch` on the whole burst
@@ -38,6 +39,10 @@ from repro.phy import Receiver, Transmitter, TxConfig
 from repro.utils import awgn_like, make_rng
 from machine import machine_block
 
+# The reference decoder is test support: import it from the repo root.
+sys.path.insert(1, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from tests.phy_oracle import viterbi_decode_reference
+
 
 class _ReferenceViterbi:
     """Proxy forcing the scalar pre-refactor decoder on a Receiver."""
@@ -46,10 +51,11 @@ class _ReferenceViterbi:
         self._inner = inner
 
     def decode(self, llrs, terminated=True):
-        return self._inner.decode_reference(llrs, terminated=terminated)
+        return viterbi_decode_reference(self._inner, llrs,
+                                        terminated=terminated)
 
     def decode_batch(self, llr_list, terminated=True):
-        return [self._inner.decode_reference(llrs, terminated=terminated)
+        return [self.decode(llrs, terminated=terminated)
                 for llrs in llr_list]
 
     def __getattr__(self, name):

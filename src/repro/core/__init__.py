@@ -19,13 +19,7 @@
   decode-and-forward mesh, and AP-only comparators (§2, §5).
 """
 
-from repro.core.cnf_filter import (
-    siso_cnf_phase,
-    siso_destination_snr,
-    mimo_cnf_filter,
-    mimo_effective_channel,
-    mimo_stream_sinrs_with_relay,
-)
+from repro.core.cnf_filter import siso_cnf_phase, mimo_cnf_filter
 from repro.core.decomposition import CnfFilterDecomposition, decompose_cnf_filter
 from repro.core.amplification import (
     cancellation_cap_db,
@@ -45,10 +39,7 @@ from repro.core.baselines import (
 
 __all__ = [
     "siso_cnf_phase",
-    "siso_destination_snr",
     "mimo_cnf_filter",
-    "mimo_effective_channel",
-    "mimo_stream_sinrs_with_relay",
     "CnfFilterDecomposition",
     "decompose_cnf_filter",
     "cancellation_cap_db",

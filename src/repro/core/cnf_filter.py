@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.units import db_to_linear, db_to_power
+from repro.utils.units import db_to_linear
 
 
 def siso_cnf_phase(h_sd, h_sr, h_rd):
@@ -63,34 +63,6 @@ def siso_cnf_phase(h_sd, h_sr, h_rd):
     direct_phase = np.where(np.abs(h_sd) > 0, np.angle(h_sd), 0.0)
     out[nz] = np.exp(1j * (direct_phase[nz] - np.angle(relay_path[nz])))
     return out
-
-
-def siso_destination_snr(h_sd, h_sr, h_rd, filter_response, amplification_db,
-                         tx_power_dbm=20.0, noise_floor_dbm=-90.0,
-                         relay_noise_floor_dbm=None):
-    """Eq. 1: per-subcarrier destination SNR (dB) with the relay active.
-
-    ``filter_response`` is the (possibly decomposition-approximated)
-    CNF response per subcarrier; pass 0 to model the relay off (keeps
-    broadcasting semantics simple for sweeps).
-    """
-    h_sd = np.asarray(h_sd, dtype=complex)
-    h_sr = np.asarray(h_sr, dtype=complex)
-    h_rd = np.asarray(h_rd, dtype=complex)
-    f = np.asarray(filter_response, dtype=complex)
-    if relay_noise_floor_dbm is None:
-        relay_noise_floor_dbm = noise_floor_dbm
-    a = db_to_linear(amplification_db)  # power-dB gain -> amplitude factor
-    p_tx = 10.0 ** (tx_power_dbm / 10.0)
-    sigma_d2 = 10.0 ** (noise_floor_dbm / 10.0)
-    sigma_r2 = 10.0 ** (relay_noise_floor_dbm / 10.0)
-
-    h_eff = h_sd + h_rd * f * a * h_sr
-    relay_noise_gain = np.abs(h_rd * f * a) ** 2
-    n_d = sigma_d2 + relay_noise_gain * sigma_r2
-    snr_lin = np.abs(h_eff) ** 2 * p_tx / n_d
-    with np.errstate(divide="ignore"):
-        return 10.0 * np.log10(np.maximum(snr_lin, 1e-30))
 
 
 def _det2(x):
@@ -239,41 +211,3 @@ def band_phase_alignment(h_sd, h_sr, h_rd, f0, amplification_db):
     dets = (_det2(h_sd)[:, None] + z * linear[:, None]
             + z ** 2 * _det2(relay_term)[:, None])
     return phis[np.argmax(np.abs(dets), axis=1)]
-
-
-def mimo_effective_channel(h_sd, h_sr, h_rd, f, amplification_db):
-    """H_eff = H_sd + H_rd F A H_sr for one subcarrier."""
-    a = db_to_linear(amplification_db)
-    return (np.asarray(h_sd, dtype=complex)
-            + np.asarray(h_rd, dtype=complex) @ np.asarray(f, dtype=complex)
-            @ (a * np.asarray(h_sr, dtype=complex)))
-
-
-def mimo_stream_sinrs_with_relay(h_sd, h_sr, h_rd, f, amplification_db,
-                                 tx_power_dbm=20.0, noise_floor_dbm=-90.0,
-                                 relay_noise_floor_dbm=None):
-    """Post-MMSE stream SINRs (linear) including relayed noise colouring.
-
-    The destination noise is ``sigma_d^2 I + A^2 sigma_r^2 (H_rd F)(H_rd
-    F)^H`` — the relay's own receiver noise arrives through the
-    relay->destination channel.  The effective channel is whitened
-    against it before the standard MMSE SINR formula.
-    """
-    from repro.phy.mimo import mimo_stream_sinrs
-
-    if relay_noise_floor_dbm is None:
-        relay_noise_floor_dbm = noise_floor_dbm
-    h_sd = np.asarray(h_sd, dtype=complex)
-    a2 = db_to_power(amplification_db)  # power gain
-    sigma_d2 = 10.0 ** (noise_floor_dbm / 10.0)
-    sigma_r2 = 10.0 ** (relay_noise_floor_dbm / 10.0)
-    p_per_stream = 10.0 ** (tx_power_dbm / 10.0) / h_sd.shape[1]
-
-    h_eff = mimo_effective_channel(h_sd, h_sr, h_rd, f, amplification_db)
-    relay_mix = np.asarray(h_rd, dtype=complex) @ np.asarray(f, dtype=complex)
-    noise_cov = sigma_d2 * np.eye(h_sd.shape[0]) \
-        + a2 * sigma_r2 * (relay_mix @ relay_mix.conj().T)
-    vals, vecs = np.linalg.eigh(noise_cov)
-    whiten = (vecs / np.sqrt(np.maximum(vals, 1e-30))) @ vecs.conj().T
-    h_white = whiten @ h_eff * np.sqrt(p_per_stream)
-    return mimo_stream_sinrs(h_white, 1.0)

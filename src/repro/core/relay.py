@@ -4,10 +4,14 @@ Two views of the same machine:
 
 * **link level** — given the three per-subcarrier channels (source->
   destination, source->relay, relay->destination) the relay computes its
-  constructive filter, its amplification, and the resulting destination
-  SNRs / MIMO stream SINRs, including relayed noise and (when its
-  latency budget is blown) the ISI penalty.  This is what the
-  throughput experiments consume.
+  constructive filter, its amplification, and what the destination
+  sees, including relayed noise and (when its latency budget is blown)
+  the ISI penalty: per-tone SNRs on a SISO link
+  (:meth:`FastForwardRelay.destination_snr_db`), per-tone effective
+  channels and noise covariances on a MIMO link
+  (:meth:`FastForwardRelay.mimo_effective_channels`).  There is one
+  stacked link evaluator per mode; the throughput experiments turn its
+  output into rates through :mod:`repro.netsim.throughput`.
 * **sample level** — :meth:`FastForwardRelay.process` pushes an IQ
   stream through the realised CNF filter, amplification and CFO
   restore, producing the waveform the relay would transmit.
@@ -89,7 +93,9 @@ class FastForwardRelay:
 
     Call :meth:`configure_siso_link` or :meth:`configure_mimo_link`
     with per-subcarrier channels (from estimation or a channel model),
-    then query :meth:`destination_snr_db` / :meth:`stream_sinrs_db`.
+    then query :meth:`destination_snr_db` (SISO) or
+    :meth:`mimo_effective_channels` (MIMO), each evaluating every
+    subcarrier in one stacked expression.
     """
 
     def __init__(self, config: RelayConfig = None):
@@ -346,9 +352,13 @@ class FastForwardRelay:
         """Per-subcarrier (H_eff, noise_cov) with the relay active.
 
         Returns ``(h_eff, noise_cov)`` of shapes (n_sc, N, M) and
-        (n_sc, N, N).  The relayed copy's ISI loss (when the latency
-        budget is blown) shrinks its useful part and adds the lost
-        power to the noise, exactly as in :meth:`destination_snr_db`.
+        (n_sc, N, N), all tones stacked.  The noise is the destination
+        floor plus the relay's receiver noise arriving through ``H_rd
+        F``.  The relayed copy's ISI loss (when the latency budget is
+        blown) shrinks its useful part and adds the lost power to the
+        noise, exactly as in :meth:`destination_snr_db`; loop
+        recirculation adds power along the relayed path.  Stream SINRs
+        and rates come from :func:`repro.netsim.throughput.mimo_rate_mbps`.
         """
         if self._mode != "mimo":
             raise RuntimeError("configure_mimo_link first")
@@ -358,52 +368,24 @@ class FastForwardRelay:
         a2 = db_to_power(self.amplification_db)
         sigma_d2 = 10.0 ** (cfg.noise_floor_dbm / 10.0)
         sigma_r2 = 10.0 ** (cfg.relay_noise_floor_dbm / 10.0)
-        p_per_stream = 10.0 ** (cfg.tx_power_dbm / 10.0) / self._h_sd.shape[2]
-        n_sc, n_rx, _ = self._h_sd.shape
-        h_eff = np.empty_like(self._h_sd)
-        noise_cov = np.empty((n_sc, n_rx, n_rx), dtype=complex)
-        eye = np.eye(n_rx)
+        n_tx = self._h_sd.shape[2]
+        p_per_stream = 10.0 ** (cfg.tx_power_dbm / 10.0) / n_tx
+        eye = np.eye(self._h_sd.shape[1])
+        f = np.exp(1j * self._mimo_phases)[:, None, None] * self._mimo_f0
+        relay_mix = self._h_rd @ f
+        relay_term = relay_mix @ (a * self._h_sr)
+        h_eff = self._h_sd + np.sqrt(rho) * relay_term
+        noise_cov = sigma_d2 * eye \
+            + a2 * sigma_r2 * (relay_mix @ relay_mix.conj().swapaxes(1, 2))
+        if rho < 1.0:
+            lost = (ISI_ICI_FACTOR * (1.0 - rho) * p_per_stream
+                    * np.mean(np.abs(relay_term) ** 2, axis=(1, 2)) * n_tx)
+            noise_cov = noise_cov + lost[:, None, None] * eye
         recirc = self._recirculation_factor(extra_path_delay_s)
-        for s in range(n_sc):
-            f = np.exp(1j * self._mimo_phases[s]) * self._mimo_f0[s]
-            relay_term = self._h_rd[s] @ f @ (a * self._h_sr[s])
-            h_eff[s] = self._h_sd[s] + np.sqrt(rho) * relay_term
-            relay_mix = self._h_rd[s] @ f
-            cov = sigma_d2 * eye \
-                + a2 * sigma_r2 * (relay_mix @ relay_mix.conj().T)
-            if rho < 1.0:
-                lost = (ISI_ICI_FACTOR * (1.0 - rho) * p_per_stream
-                        * np.mean(np.abs(relay_term) ** 2)
-                        * self._h_sd.shape[2])
-                cov = cov + lost * eye
-            if recirc > 0.0:
-                cov = cov + recirc * p_per_stream \
-                    * (relay_term @ relay_term.conj().T)
-            noise_cov[s] = cov
+        if recirc > 0.0:
+            noise_cov = noise_cov + recirc * p_per_stream \
+                * (relay_term @ relay_term.conj().swapaxes(1, 2))
         return h_eff, noise_cov
-
-    def stream_sinrs_db(self, extra_path_delay_s=0.0):
-        """Per-subcarrier MMSE stream SINRs (dB), shape (n_sc, streams).
-
-        Computed from :meth:`mimo_effective_channels` so every
-        impairment (relayed noise colouring, ISI, loop recirculation)
-        flows through one model.
-        """
-        from repro.phy.mimo import mimo_stream_sinrs
-
-        h_eff, noise_cov = self.mimo_effective_channels(extra_path_delay_s)
-        cfg = self.config
-        p_per_stream = 10.0 ** (cfg.tx_power_dbm / 10.0) / h_eff.shape[2]
-        n_sc, _, num_streams = h_eff.shape
-        out = np.empty((n_sc, num_streams))
-        for s in range(n_sc):
-            vals, vecs = np.linalg.eigh(noise_cov[s])
-            whiten = (vecs / np.sqrt(np.maximum(vals.real, 1e-30))) \
-                @ vecs.conj().T
-            h_white = whiten @ h_eff[s] * np.sqrt(p_per_stream)
-            sinrs = mimo_stream_sinrs(h_white, 1.0)
-            out[s] = 10.0 * np.log10(np.maximum(sinrs, 1e-30))
-        return out
 
     @property
     def decomposition(self):

@@ -38,6 +38,7 @@ from repro.telemetry.collector import current_collector
 from repro.netsim.throughput import (
     ap_only_mimo_rate,
     ap_only_siso_rate,
+    direct_noise_cov,
     ff_mimo_rate,
     ff_siso_rate,
     usable_streams,
@@ -198,11 +199,9 @@ def _overall_gains_client(scenario, testbed_seed, client, relay_config=None,
     ff_rate = ff_mimo_rate(relay, delay)
 
     # Diagnostics for the Fig. 15 classes.
+    streams = usable_streams(m_sd, direct_noise_cov(m_sd))
     noise = 10.0 ** (-90.0 / 10.0)
     n_rx = m_sd.shape[1]
-    cov = np.broadcast_to(noise * np.eye(n_rx),
-                          (m_sd.shape[0], n_rx, n_rx)).copy()
-    streams = usable_streams(m_sd, cov)
     band_snr = effective_snr_db(power_to_db(np.maximum(
         np.einsum("sij,sij->s", m_sd, m_sd.conj()).real
         * 10.0 ** (20.0 / 10.0) / (n_rx * noise), 1e-30)))

@@ -14,7 +14,7 @@ import numpy as np
 from repro.core.relay import FastForwardRelay, RelayConfig
 from repro.exec import Task, run_sweep, task_fn
 from repro.netsim.testbed import Testbed
-from repro.netsim.throughput import snr_field_db, usable_streams
+from repro.netsim.throughput import direct_noise_cov, snr_field_db, usable_streams
 from repro.telemetry.collector import current_collector
 from repro.phy.rates import effective_snr_db
 from repro.utils.rng import child_seeds
@@ -51,11 +51,7 @@ def _coverage_point(testbed, point, rng=None):
     snr_ff = effective_snr_db(relay.destination_snr_db(delay))
 
     m_sd, m_sr, m_rd = testbed.mimo_triple(point, rng)
-    noise = 10.0 ** (-90.0 / 10.0)
-    n_rx = m_sd.shape[1]
-    direct_cov = np.broadcast_to(noise * np.eye(n_rx),
-                                 (m_sd.shape[0], n_rx, n_rx)).copy()
-    streams_ap = usable_streams(m_sd, direct_cov)
+    streams_ap = usable_streams(m_sd, direct_noise_cov(m_sd))
     mrelay = FastForwardRelay(RelayConfig(params=testbed.params))
     mrelay.configure_mimo_link(m_sd, m_sr, m_rd)
     h_eff, noise_cov = mrelay.mimo_effective_channels(delay)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.phy.mimo import mimo_stream_sinrs
 from repro.phy.rates import effective_snr_db, mimo_phy_rate_mbps, phy_rate_mbps
 from repro.utils.units import power_to_db
 
@@ -28,29 +29,22 @@ def _eigen_beamforming_snrs(h_eff, noise_cov, tx_power):
     The AP beamforms along the generalised dominant direction of
     ``H^H R^-1 H`` with the full power budget.
     """
-    n_sc = h_eff.shape[0]
-    out = np.empty(n_sc)
-    for s in range(n_sc):
-        r_inv = np.linalg.inv(noise_cov[s])
-        gram = h_eff[s].conj().T @ r_inv @ h_eff[s]
-        vals = np.linalg.eigvalsh(gram)
-        out[s] = tx_power * max(float(vals[-1].real), 0.0)
-    return out
+    gram = h_eff.conj().swapaxes(-1, -2) @ np.linalg.inv(noise_cov) @ h_eff
+    return tx_power * np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0)
 
 
 def _multiplexing_stream_snrs(h_eff, noise_cov, tx_power):
-    """Per-subcarrier per-stream MMSE SINRs (linear), equal power split."""
-    from repro.phy.mimo import mimo_stream_sinrs
+    """Per-subcarrier per-stream MMSE SINRs (linear), equal power split.
 
-    n_sc, _, n_streams = h_eff.shape
-    p_stream = tx_power / n_streams
-    out = np.empty((n_sc, n_streams))
-    for s in range(n_sc):
-        vals, vecs = np.linalg.eigh(noise_cov[s])
-        whiten = (vecs / np.sqrt(np.maximum(vals.real, 1e-30))) @ vecs.conj().T
-        h_white = whiten @ h_eff[s] * np.sqrt(p_stream)
-        out[s] = mimo_stream_sinrs(h_white, 1.0)
-    return out
+    Each tone's channel is whitened against its noise covariance, then
+    the unit-noise MMSE SINRs of :func:`repro.phy.mimo.mimo_stream_sinrs`
+    apply.
+    """
+    vals, vecs = np.linalg.eigh(noise_cov)
+    whiten = ((vecs / np.sqrt(np.maximum(vals, 1e-30))[..., None, :])
+              @ vecs.conj().swapaxes(-1, -2))
+    h_white = whiten @ h_eff * np.sqrt(tx_power / h_eff.shape[2])
+    return mimo_stream_sinrs(h_white, 1.0)
 
 
 def mimo_rate_mbps(h_eff, noise_cov, tx_power_dbm=20.0):
@@ -84,14 +78,21 @@ def ap_only_siso_rate(h_sd, tx_power_dbm=20.0, noise_floor_dbm=-90.0):
     return siso_rate_mbps(snrs)
 
 
+def direct_noise_cov(h_sd, noise_floor_dbm=-90.0):
+    """White receiver-noise covariance of a direct link, (n_sc, N, N).
+
+    ``h_sd`` is the (n_sc, N, M) channel; with no relay the destination
+    hears only its own noise floor on every antenna and tone.
+    """
+    n_sc, n_rx = np.shape(h_sd)[:2]
+    noise = 10.0 ** (noise_floor_dbm / 10.0)
+    return np.broadcast_to(noise * np.eye(n_rx), (n_sc, n_rx, n_rx))
+
+
 def ap_only_mimo_rate(h_sd, tx_power_dbm=20.0, noise_floor_dbm=-90.0):
     """Direct-link MIMO rate; ``h_sd`` is (n_sc, N, M)."""
-    h_sd = np.asarray(h_sd, dtype=complex)
-    noise = 10.0 ** (noise_floor_dbm / 10.0)
-    n_rx = h_sd.shape[1]
-    cov = np.broadcast_to(noise * np.eye(n_rx),
-                          (h_sd.shape[0], n_rx, n_rx)).copy()
-    return mimo_rate_mbps(h_sd, cov, tx_power_dbm=tx_power_dbm)
+    return mimo_rate_mbps(h_sd, direct_noise_cov(h_sd, noise_floor_dbm),
+                          tx_power_dbm=tx_power_dbm)
 
 
 def ff_siso_rate(relay, extra_path_delay_s=0.0):

@@ -17,14 +17,18 @@ that moved past a threshold in the *bad* direction.  Two input shapes:
 The comparison is deliberately *relative* (``--threshold``, default
 0.25 = flag a >25% move) because wall time is machine-dependent; the
 CI gate diffs two runs of the same machine (self-diff must pass, an
-injected 2x regression must fail).
+injected 2x regression must fail).  The ``machine`` block itself is
+never diffed as a metric, but when both bench records carry one and
+their ``cpus``, ``available_cpus`` or ``python`` differ, the report
+names those fields (:attr:`DiffReport.machine`) so a wall-time verdict
+across two machines is not read as a code change.
 """
 
 from __future__ import annotations
 
 import json
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 #: Substrings (checked in order against the lowercased dotted path)
 #: that decide which direction is a regression.  Higher-is-better
@@ -43,6 +47,8 @@ _LOWER_WORDS = ("wall", "latency", "shed", "deviation", "overhead",
 
 #: Path fragments never diffed (environment, gate bookkeeping, knobs).
 _SKIPPED = ("machine", "gates", "config", "python", "seed", "cpus")
+#: The ``machine`` fields whose difference a bench diff reports.
+_MACHINE_FIELDS = ("cpus", "available_cpus", "python")
 
 
 def classify_metric(path):
@@ -109,12 +115,19 @@ def flatten_telemetry(payload):
     return out
 
 
-def load_run(path):
-    """Load a run for diffing: BENCH JSON dict or telemetry JSONL.
+def _machine_changes(base_record, new_record):
+    """``{field: (base, new)}`` for the ``machine`` fields two bench
+    records disagree on; empty unless both carry a ``machine`` block."""
+    base = base_record.get("machine")
+    new = new_record.get("machine")
+    if not isinstance(base, dict) or not isinstance(new, dict):
+        return {}
+    return {name: (base.get(name), new.get(name)) for name in _MACHINE_FIELDS
+            if base.get(name) != new.get(name)}
 
-    Returns ``(kind, metrics)`` with ``kind`` in ``{"bench",
-    "telemetry"}``.
-    """
+
+def _read_run(path):
+    """``(kind, raw)``: a BENCH JSON dict or a telemetry payload."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -122,10 +135,21 @@ def load_run(path):
     except json.JSONDecodeError:
         data = None
     if isinstance(data, dict) and "traceEvents" not in data:
-        return "bench", flatten_bench(data)
+        return "bench", data
     from repro.telemetry.export import read_jsonl
 
-    return "telemetry", flatten_telemetry(read_jsonl(path))
+    return "telemetry", read_jsonl(path)
+
+
+def load_run(path):
+    """Load a run for diffing: BENCH JSON dict or telemetry JSONL.
+
+    Returns ``(kind, metrics)`` with ``kind`` in ``{"bench",
+    "telemetry"}``.
+    """
+    kind, raw = _read_run(path)
+    flatten = flatten_bench if kind == "bench" else flatten_telemetry
+    return kind, flatten(raw)
 
 
 @dataclass(frozen=True)
@@ -160,6 +184,9 @@ class DiffReport:
     new_path: str
     threshold: float
     entries: list
+    #: ``{field: (base, new)}`` where the two records' ``machine``
+    #: blocks differ (bench runs only; see :func:`_machine_changes`).
+    machine: dict = field(default_factory=dict)
 
     @property
     def regressions(self):
@@ -178,6 +205,8 @@ class DiffReport:
                 "threshold": self.threshold,
                 "regressions": len(self.regressions),
                 "improvements": len(self.improvements),
+                "machine": {name: {"base": b, "new": n}
+                            for name, (b, n) in self.machine.items()},
                 "entries": [e.as_dict() for e in self.entries]}
 
     def format_lines(self, show_ok=False):
@@ -188,6 +217,9 @@ class DiffReport:
                       key=lambda e: (order[e.status], e.metric))
         lines = [f"diff: {self.base_path} -> {self.new_path} "
                  f"(threshold {self.threshold:.0%})"]
+        if self.machine:
+            lines.append("  machines differ: " + ", ".join(
+                f"{name} {b} -> {n}" for name, (b, n) in self.machine.items()))
         shown = 0
         for entry in rows:
             if entry.status == "ok" and not show_ok:
@@ -252,14 +284,18 @@ def diff_runs(base_path, new_path, threshold=0.25):
     The two files must be the same kind — diffing a bench baseline
     against a telemetry export compares nothing meaningful.
     """
-    base_kind, base = load_run(base_path)
-    new_kind, new = load_run(new_path)
+    base_kind, base = _read_run(base_path)
+    new_kind, new = _read_run(new_path)
     if base_kind != new_kind:
         raise ValueError(
             f"cannot diff a {base_kind} run against a {new_kind} run "
             f"({base_path} vs {new_path})")
-    return diff_metrics(base, new, threshold=threshold,
-                        base_path=str(base_path), new_path=str(new_path))
+    flatten = flatten_bench if base_kind == "bench" else flatten_telemetry
+    report = diff_metrics(flatten(base), flatten(new), threshold=threshold,
+                          base_path=str(base_path), new_path=str(new_path))
+    if base_kind == "bench":
+        report.machine = _machine_changes(base, new)
+    return report
 
 
 __all__ = ["DiffEntry", "DiffReport", "classify_metric", "diff_metrics",

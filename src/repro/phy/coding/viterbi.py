@@ -1,24 +1,19 @@
 """Soft-decision Viterbi decoder for the K=7 convolutional code.
 
-Two implementations of the same trellis:
-
-* :meth:`ViterbiDecoder.decode` / :meth:`ViterbiDecoder.decode_batch` —
-  the vectorised add-compare-select used by the receive chain.  The
-  trellis structure is exploited directly: state ``t`` is reached from
-  exactly two predecessors ``t >> 1`` and ``(t >> 1) + S/2`` (the shift
-  register drops its oldest bit), always with input bit ``t & 1``, so
-  the per-step update is one ``(batch, states, 2)`` gather-compare
-  instead of a scatter-max, and whole packet bursts decode in a single
-  trellis pass.
-* :meth:`ViterbiDecoder.decode_reference` — the original per-step
-  scatter-max implementation, kept as the equivalence oracle for the
-  property tests.
+:meth:`ViterbiDecoder.decode` / :meth:`ViterbiDecoder.decode_batch` run
+a vectorised add-compare-select.  The trellis structure is exploited
+directly: state ``t`` is reached from exactly two predecessors ``t >>
+1`` and ``(t >> 1) + S/2`` (the shift register drops its oldest bit),
+always with input bit ``t & 1``, so the per-step update is one
+``(batch, states, 2)`` gather-compare instead of a scatter-max, and
+whole packet bursts decode in a single trellis pass.
 
 Branch metrics are computed with the exact expression (and operation
-order) of the reference path, so surviving path metrics are bitwise
-identical and both implementations return the same bits whenever the
-maximum-likelihood path is unique (ties between equal-metric paths are
-measure-zero for noisy soft inputs).
+order) of the original per-step scatter-max decoder, which the tests
+keep as their oracle (``tests/phy_oracle.py``), so surviving path
+metrics are bitwise identical and both return the same bits whenever
+the maximum-likelihood path is unique (ties between equal-metric paths
+are measure-zero for noisy soft inputs).
 """
 
 from __future__ import annotations
@@ -148,59 +143,3 @@ class ViterbiDecoder:
         """Decode hard coded bits by mapping them onto +-1 metrics."""
         coded_bits = np.asarray(coded_bits, dtype=int).ravel()
         return self.decode(1.0 - 2.0 * coded_bits, terminated=terminated)
-
-    # -- reference implementation (equivalence oracle) --------------------
-
-    def decode_reference(self, llrs, terminated=True):
-        """The original per-step scatter-max decoder.
-
-        Kept verbatim as the oracle the property tests compare
-        :meth:`decode` / :meth:`decode_batch` against.
-        """
-        llrs = self._coerce_llrs(llrs)
-        num_steps = llrs.size // 2
-        if num_steps == 0:
-            return np.array([], dtype=int)
-
-        ns = self._next_state
-        g0 = self._out_g0
-        g1 = self._out_g1
-
-        # Branch metric: correlation of expected bits with LLRs.  A
-        # coded bit of 0 earns +llr/2, of 1 earns -llr/2; constant
-        # offsets cancel so we use (1-2b)*llr.
-        path = np.full(self.num_states, -np.inf)
-        path[0] = 0.0
-        decisions = np.empty((num_steps, self.num_states), dtype=np.int8)
-        prev_state = np.empty((num_steps, self.num_states), dtype=np.int32)
-
-        states = np.arange(self.num_states)
-        for t in range(num_steps):
-            l0, l1 = llrs[2 * t], llrs[2 * t + 1]
-            new_path = np.full(self.num_states, -np.inf)
-            new_prev = np.zeros(self.num_states, dtype=np.int32)
-            new_dec = np.zeros(self.num_states, dtype=np.int8)
-            for bit in (0, 1):
-                metric = path + (1 - 2 * g0[:, bit]) * (l0 / 2.0) \
-                              + (1 - 2 * g1[:, bit]) * (l1 / 2.0)
-                targets = ns[:, bit]
-                # Scatter-max: sort ascending so that with duplicate
-                # targets numpy's last-write-wins keeps the best metric.
-                order = np.argsort(metric)
-                tgt = targets[order]
-                better = metric[order] > new_path[tgt]
-                upd = tgt[better]
-                new_path[upd] = metric[order][better]
-                new_prev[upd] = states[order][better]
-                new_dec[upd] = bit
-            path = new_path
-            prev_state[t] = new_prev
-            decisions[t] = new_dec
-
-        end_state = 0 if terminated else int(np.argmax(path))
-        bits = np.empty(num_steps, dtype=int)
-        state = end_state
-        for t in range(num_steps - 1, -1, -1):
-            bits[t] = decisions[t, state]
-            state = prev_state[t, state]
-        return self._strip_tail(bits, terminated)

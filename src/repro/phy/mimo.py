@@ -39,34 +39,24 @@ def mmse_detect(h, y, noise_var):
     return np.linalg.solve(gram, h.conj().T @ y)
 
 
-def mimo_stream_sinrs(h, noise_var, detector="mmse"):
-    """Post-detection SINR of each spatial stream (linear).
+def mimo_stream_sinrs(h, noise_var):
+    """Post-MMSE SINR of each spatial stream (linear).
 
-    For MMSE the exact per-stream SINR is ``1/[(I + H^H H / n)^-1]_kk - 1``;
-    for ZF it is ``1 / (n * [(H^H H)^-1]_kk)``.  These are the standard
-    closed forms for unit-power streams.
+    ``h`` is one (num_rx, num_tx) channel or a stack (..., num_rx,
+    num_tx), e.g. one matrix per subcarrier; returns (..., num_tx).  The
+    exact per-stream SINR of the linear MMSE receiver for unit-power
+    streams is ``1/[(I + H^H H / n)^-1]_kk - 1``.
     """
     if noise_var <= 0:
         raise ValueError(f"noise_var must be positive, got {noise_var}")
     h = np.asarray(h, dtype=complex)
-    if h.ndim != 2:
-        raise ValueError(f"h must be 2-D (num_rx, num_tx), got shape {h.shape}")
-    num_tx = h.shape[1]
-    gram = h.conj().T @ h
-    if detector == "mmse":
-        inv = np.linalg.inv(np.eye(num_tx) + gram / noise_var)
-        diag = np.real(np.diag(inv))
-        diag = np.clip(diag, 1e-15, 1.0)
-        return 1.0 / diag - 1.0
-    if detector == "zf":
-        try:
-            inv = np.linalg.inv(gram)
-        except np.linalg.LinAlgError:
-            # Singular channel: ZF cannot separate the streams at all.
-            return np.zeros(num_tx)
-        diag = np.real(np.diag(inv))
-        return 1.0 / (noise_var * np.maximum(diag, 1e-30))
-    raise ValueError(f"unknown detector {detector!r}; use 'mmse' or 'zf'")
+    if h.ndim < 2:
+        raise ValueError(
+            f"h must be (..., num_rx, num_tx), got shape {h.shape}")
+    gram = h.conj().swapaxes(-1, -2) @ h
+    inv = np.linalg.inv(np.eye(h.shape[-1]) + gram / noise_var)
+    diag = np.clip(np.real(np.diagonal(inv, axis1=-2, axis2=-1)), 1e-15, 1.0)
+    return 1.0 / diag - 1.0
 
 
 def effective_rank(h, threshold_db=15.0):

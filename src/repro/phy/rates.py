@@ -75,15 +75,15 @@ def phy_rate_mbps(snr_db):
     return entry.rate_mbps if entry is not None else 0.0
 
 
-def mimo_phy_rate_mbps(stream_sinrs_db):
+def mimo_phy_rate_mbps(stream_snrs_db):
     """Total PHY rate over spatial streams with per-stream MCS.
 
-    ``stream_sinrs_db`` are the post-detection SINRs of each stream
+    ``stream_snrs_db`` are the post-detection SINRs of each stream
     (e.g. from :func:`repro.phy.mimo.mimo_stream_sinrs`).  Streams whose
     SINR cannot support MCS0 contribute nothing — this is how MIMO rank
     deficiency manifests as throughput loss.
     """
-    sinrs = np.atleast_1d(np.asarray(stream_sinrs_db, dtype=float))
+    sinrs = np.atleast_1d(np.asarray(stream_snrs_db, dtype=float))
     return float(sum(phy_rate_mbps(s) for s in sinrs))
 
 

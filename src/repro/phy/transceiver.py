@@ -162,9 +162,9 @@ class MimoReceiver:
         All symbols are FFT'd in one batched pass and the linear MMSE
         solve runs once per data tone over every symbol at once (the
         Gram matrix is symbol-independent).  The stacked matmul and
-        multi-RHS solve are bitwise identical to the per-symbol
-        gemv/solve of the reference implementation, asserted by
-        :meth:`_equalized_streams_reference` in the equivalence tests.
+        multi-RHS solve are bitwise identical to the original
+        per-symbol gemv/solve, which the equivalence tests keep as
+        their oracle (``tests/phy_oracle.py``).
         """
         p = self.params
         used = np.asarray(p.used_subcarriers())
@@ -188,31 +188,6 @@ class MimoReceiver:
             rhs = np.matmul(np.broadcast_to(hc, (num_symbols, *hc.shape)),
                             y.T[:, :, None])[..., 0]
             out[:, :, d_idx] = np.linalg.solve(gram, rhs.T)
-        return out
-
-    def _equalized_streams_reference(self, body, h_used, noise_var,
-                                     num_symbols):
-        """Original per-symbol, per-tone MMSE loop (equivalence oracle)."""
-        p = self.params
-        used = np.asarray(p.used_subcarriers())
-        data_pos = np.searchsorted(used, np.asarray(p.data_subcarriers))
-        tone_scale = np.sqrt(p.fft_size / p.num_used_subcarriers)
-        n_streams = self.num_streams
-        out = np.empty((n_streams, num_symbols, len(p.data_subcarriers)),
-                       dtype=complex)
-        eye = np.eye(n_streams)
-        for i in range(num_symbols):
-            grids = np.stack([
-                self.demod.demodulate_symbol(
-                    body[r, i * p.symbol_len:(i + 1) * p.symbol_len])
-                for r in range(body.shape[0])])
-            used_vals = grids[:, used % p.fft_size] / tone_scale
-            for d_idx, pos in enumerate(data_pos):
-                h = h_used[pos]          # (num_rx, num_streams)
-                y = used_vals[:, pos]
-                gram = h.conj().T @ h + noise_var * eye
-                x_hat = np.linalg.solve(gram, h.conj().T @ y)
-                out[:, i, d_idx] = x_hat
         return out
 
     def receive(self, samples, correct_cfo=True):

@@ -5,16 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    FastForwardRelay,
-    RelayConfig,
-    mimo_cnf_filter,
-    mimo_effective_channel,
-    mimo_stream_sinrs_with_relay,
-    siso_cnf_phase,
-    siso_destination_snr,
-)
+from repro.core import FastForwardRelay, RelayConfig, mimo_cnf_filter, siso_cnf_phase
 from repro.core.cnf_filter import _adj2, _det2, band_phase_alignment
+from repro.netsim.throughput import _multiplexing_stream_snrs, direct_noise_cov
 from repro.utils import make_rng
 from repro.utils.units import db_to_linear
 from tests.cnf_oracle import (
@@ -63,28 +56,33 @@ class TestSisoPhase:
 
 
 class TestSisoSnr:
+    """Eq. 1 through the relay's one SISO evaluator, ``destination_snr_db``,
+    with the ideal (undecomposed) filter."""
+
+    @staticmethod
+    def _snr(h_sd, h_sr, h_rd, **config):
+        relay = FastForwardRelay(RelayConfig(use_decomposition=False, **config))
+        return relay.configure_siso_link(h_sd, h_sr, h_rd).destination_snr_db()
+
     def test_constructive_beats_blind(self):
         rng = make_rng(3)
         h_sd, h_sr, h_rd = [0.001 * h for h in _random_channels(rng)]
-        f_cnf = siso_cnf_phase(h_sd, h_sr, h_rd)
-        snr_cnf = siso_destination_snr(h_sd, h_sr, h_rd, f_cnf, 40.0)
-        snr_blind = siso_destination_snr(h_sd, h_sr, h_rd,
-                                         np.ones_like(f_cnf), 40.0)
+        snr_cnf = self._snr(h_sd, h_sr, h_rd)
+        snr_blind = self._snr(h_sd, h_sr, h_rd, use_cnf=False)
         assert np.mean(snr_cnf) > np.mean(snr_blind)
 
     def test_relay_noise_counted(self):
         h = np.ones(4) * 1e-4
-        f = np.ones(4)
-        quiet = siso_destination_snr(h, h, h, f, 60.0,
-                                     relay_noise_floor_dbm=-120.0)
-        noisy = siso_destination_snr(h, h, h, f, 60.0,
-                                     relay_noise_floor_dbm=-80.0)
+        quiet = self._snr(h, h, h, relay_noise_floor_dbm=-120.0)
+        noisy = self._snr(h, h, h, relay_noise_floor_dbm=-80.0)
         assert np.all(quiet > noisy)
 
     def test_zero_filter_recovers_direct_only(self):
+        # A zero relayed path H_rd F forwards neither signal nor relay
+        # noise: the direct link's SNR is all that is left.
         rng = make_rng(4)
         h_sd, h_sr, h_rd = [0.001 * h for h in _random_channels(rng)]
-        snr = siso_destination_snr(h_sd, h_sr, h_rd, np.zeros_like(h_sd), 60.0)
+        snr = self._snr(h_sd, h_sr, np.zeros_like(h_rd))
         direct = 10 * np.log10(np.abs(h_sd) ** 2 * 100.0 / 1e-9)
         assert np.allclose(snr, direct, atol=1e-9)
 
@@ -120,10 +118,8 @@ class TestMimoCnf:
         for _ in range(10):
             h_sd, h_sr, h_rd = self._draw(rng)
             f = mimo_cnf_filter(h_sd, h_sr, h_rd, 40.0)
-            det_opt = abs(np.linalg.det(
-                mimo_effective_channel(h_sd, h_sr, h_rd, f, 40.0)))
-            det_eye = abs(np.linalg.det(
-                mimo_effective_channel(h_sd, h_sr, h_rd, np.eye(2), 40.0)))
+            det_opt = objective(h_sd, h_sr, h_rd, f, 40.0)
+            det_eye = objective(h_sd, h_sr, h_rd, np.eye(2), 40.0)
             wins += det_opt >= det_eye - 1e-12
         assert wins == 10
 
@@ -132,8 +128,8 @@ class TestMimoCnf:
         h_sd, h_sr, h_rd = self._draw(rng)
         f0 = svd_aligned_init(h_sr, h_rd)
         f1 = mimo_cnf_filter(h_sd, h_sr, h_rd, 40.0)
-        d0 = abs(np.linalg.det(mimo_effective_channel(h_sd, h_sr, h_rd, f0, 40.0)))
-        d1 = abs(np.linalg.det(mimo_effective_channel(h_sd, h_sr, h_rd, f1, 40.0)))
+        d0 = objective(h_sd, h_sr, h_rd, f0, 40.0)
+        d1 = objective(h_sd, h_sr, h_rd, f1, 40.0)
         assert d1 >= d0 - 1e-12
 
     def test_antenna_count_mismatch(self):
@@ -178,8 +174,9 @@ class TestMimoCnf:
                        + 1j * rng.standard_normal((2, 2)))
         h_rd = 1e-2 * (rng.standard_normal((2, 2))
                        + 1j * rng.standard_normal((2, 2)))
-        f = mimo_cnf_filter(h_sd, h_sr, h_rd, 40.0)
-        h_eff = mimo_effective_channel(h_sd, h_sr, h_rd, f, 40.0)
+        relay = FastForwardRelay().configure_mimo_link(
+            h_sd[None], h_sr[None], h_rd[None])
+        h_eff = relay.mimo_effective_channels()[0][0]
         assert effective_rank(h_sd, threshold_db=40.0) == 1
         assert effective_rank(h_eff, threshold_db=40.0) == 2
         # The pinhole's second singular value is exactly zero; the relay
@@ -200,10 +197,12 @@ class TestStreamSinrs:
                        + 1j * rng.standard_normal((2, 2)))
         h_rd = 1e-2 * (rng.standard_normal((2, 2))
                        + 1j * rng.standard_normal((2, 2)))
-        f = mimo_cnf_filter(h_sd, h_sr, h_rd, 37.0)
-        with_relay = mimo_stream_sinrs_with_relay(h_sd, h_sr, h_rd, f, 37.0)
-        without = mimo_stream_sinrs_with_relay(
-            h_sd, np.zeros((2, 2)), h_rd, f, 0.0)
+        relay = FastForwardRelay().configure_mimo_link(
+            h_sd[None], h_sr[None], h_rd[None])
+        with_relay = _multiplexing_stream_snrs(
+            *relay.mimo_effective_channels(), 100.0)[0]
+        without = _multiplexing_stream_snrs(
+            h_sd[None], direct_noise_cov(h_sd[None]), 100.0)[0]
         assert np.sort(with_relay)[0] > np.sort(without)[0]
 
     def test_band_phase_alignment_shape(self):

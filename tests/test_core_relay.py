@@ -5,7 +5,13 @@ import pytest
 
 from repro.channel import fig1_home, PropagationModel
 from repro.core import FastForwardRelay, LatencyBudget, RelayConfig
-from repro.netsim.throughput import ff_siso_rate
+from repro.netsim.throughput import (
+    _multiplexing_stream_snrs,
+    ap_only_mimo_rate,
+    ff_mimo_rate,
+    ff_siso_rate,
+    usable_streams,
+)
 from repro.phy.params import WIFI_20MHZ
 from repro.phy.rates import effective_snr_db
 from repro.utils import make_rng
@@ -124,22 +130,68 @@ class TestSisoLink:
             relay.destination_snr_db()
 
 
+def _stream_sinrs_db(relay):
+    """Per-tone post-MMSE stream SINRs (dB) of a configured MIMO relay."""
+    sinrs = _multiplexing_stream_snrs(*relay.mimo_effective_channels(),
+                                      10.0 ** (relay.config.tx_power_dbm / 10.0))
+    return 10.0 * np.log10(np.maximum(sinrs, 1e-30))
+
+
+#: (FF rate, AP-only rate, usable streams with the relay) per degenerate
+#: MIMO link on ``home_mimo``.
+_DEGENERATE_MIMO_RATES = {
+    "zero-direct": (28.88888888888889, 0.0, 1),
+    "zero-source-relay": (7.222222222222222, 14.444444444444445, 1),
+    "zero-relay-destination": (14.444444444444445, 14.444444444444445, 1),
+    "all-zero": (0.0, 0.0, 0),
+    "relay-on-one-tone": (7.222222222222222, 14.444444444444445, 1),
+    "rank-one": (57.77777777777778, 14.444444444444445, 1),
+    "one-antenna-relay-zero-direct": (43.333333333333336, 0.0, 1),
+}
+
+
 class TestMimoLink:
     def test_stream_sinrs_shape(self, home_mimo):
         relay = FastForwardRelay().configure_mimo_link(*home_mimo)
-        sinrs = relay.stream_sinrs_db()
+        sinrs = _stream_sinrs_db(relay)
         assert sinrs.shape == (56, 2)
 
     def test_relay_lifts_weak_stream(self, home_mimo):
         h_sd, h_sr, h_rd = home_mimo
         relay = FastForwardRelay().configure_mimo_link(h_sd, h_sr, h_rd)
-        with_relay = relay.stream_sinrs_db().mean(axis=0)
+        with_relay = _stream_sinrs_db(relay).mean(axis=0)
 
         off = FastForwardRelay(RelayConfig(use_cnf=False))
         off.configure_mimo_link(h_sd, h_sr, h_rd)
         off.amplification_db = 0.0  # relay silent
-        without = off.stream_sinrs_db().mean(axis=0)
+        without = _stream_sinrs_db(off).mean(axis=0)
         assert np.sort(with_relay)[0] > np.sort(without)[0] + 3.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("link", list(_DEGENERATE_MIMO_RATES))
+    def test_degenerate_links_stay_finite(self, home_mimo, link):
+        # Zero and rank-1 channels must not reach a 0/0 or a singular
+        # solve anywhere on the stacked link path; rates and stream
+        # counts are pinned to the per-tone loops'.
+        h_sd, h_sr, h_rd = home_mimo
+        one_tone = np.zeros_like(h_sr)
+        one_tone[7] = h_sr[7]
+        channels = {
+            "zero-direct": (0 * h_sd, h_sr, h_rd),
+            "zero-source-relay": (h_sd, 0 * h_sr, h_rd),
+            "zero-relay-destination": (h_sd, h_sr, 0 * h_rd),
+            "all-zero": (0 * h_sd, 0 * h_sr, 0 * h_rd),
+            "relay-on-one-tone": (h_sd, one_tone, h_rd),
+            "rank-one": tuple(np.repeat(h[:, :1, :], 2, axis=1)
+                              for h in home_mimo),
+            "one-antenna-relay-zero-direct": (0 * h_sd, h_sr[:, :1, :],
+                                              h_rd[:, :, :1]),
+        }[link]
+        relay = FastForwardRelay().configure_mimo_link(*channels)
+        h_eff, cov = relay.mimo_effective_channels()
+        assert np.isfinite(h_eff).all() and np.isfinite(cov).all()
+        assert (ff_mimo_rate(relay), ap_only_mimo_rate(channels[0]),
+                usable_streams(h_eff, cov)) == _DEGENERATE_MIMO_RATES[link]
 
     def test_effective_channels_shapes(self, home_mimo):
         relay = FastForwardRelay().configure_mimo_link(*home_mimo)

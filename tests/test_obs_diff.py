@@ -142,6 +142,36 @@ class TestDiffRuns:
         assert [e.metric for e in diff_runs(base, slower).regressions] == \
             ["warm_cache_s"]
 
+    def test_machine_differences_are_reported(self, tmp_path, capsys):
+        # The committed sweep records of a 1-CPU and a 2-CPU container:
+        # the warm-cache regression stands, and the report says the
+        # machines differ instead of leaving it unexplained.
+        base = self._bench(tmp_path, "one_cpu.json", warm_cache_s=0.0458,
+                           machine={"available_cpus": 1, "cpus": 1,
+                                    "python": "3.11.7"})
+        new = self._bench(tmp_path, "two_cpus.json", warm_cache_s=0.0602,
+                          machine={"available_cpus": 2, "cpus": 2,
+                                   "python": "3.11.7"})
+        report = diff_runs(base, new)
+        assert report.machine == {"cpus": (1, 2), "available_cpus": (1, 2)}
+        assert report.as_dict()["machine"] == {
+            "cpus": {"base": 1, "new": 2},
+            "available_cpus": {"base": 1, "new": 2}}
+        assert report.format_lines()[1] == \
+            "  machines differ: cpus 1 -> 2, available_cpus 1 -> 2"
+        assert [e.metric for e in report.regressions] == ["warm_cache_s"]
+        with pytest.raises(SystemExit) as exc:
+            main(["obs", "diff", base, new])
+        assert exc.value.code == 2
+        assert "machines differ: cpus 1 -> 2" in capsys.readouterr().out
+        # Same machine, or a record without the block: nothing to say.
+        assert diff_runs(base, base).machine == {}
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps({"warm_cache_s": 0.0458}))
+        assert diff_runs(str(bare), new).machine == {}
+        assert "machines differ" not in "\n".join(
+            diff_runs(base, base).format_lines())
+
     def test_telemetry_runs_diff_on_span_totals(self, tmp_path):
         def export(name, burn):
             tel = TelemetryCollector(origin="diff-test")

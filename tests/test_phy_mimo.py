@@ -56,21 +56,6 @@ class TestStreamSinrs:
         full = mimo_stream_sinrs(np.eye(2), 0.01)
         assert full.min() > 50.0
 
-    def test_zf_matches_mmse_at_high_snr(self):
-        rng = make_rng(3)
-        h = iid_rayleigh_mimo(2, 2, rng)
-        zf = mimo_stream_sinrs(h, 1e-8, detector="zf")
-        mmse = mimo_stream_sinrs(h, 1e-8, detector="mmse")
-        assert np.allclose(zf, mmse, rtol=1e-3)
-
-    def test_unknown_detector(self):
-        with pytest.raises(ValueError):
-            mimo_stream_sinrs(np.eye(2), 1.0, detector="ml")
-
-    def test_singular_zf_is_zero(self):
-        h = np.ones((2, 2))
-        assert np.allclose(mimo_stream_sinrs(h, 1.0, detector="zf"), 0.0)
-
 
 class TestRank:
     def test_identity_full_rank(self):
