@@ -83,7 +83,7 @@ def build_candidate_table(district: District):
                                  tx_power_dbm=cfg.tx_power_dbm)
     direct_rate = np.array([phy_rate_mbps(s) for s in direct_snr])
 
-    cand = [district.candidate_relays(c) for c in range(district.num_clients)]
+    cand = district.candidates
 
     # Backhaul (home AP -> relay) SNRs: dedupe on the (home, relay)
     # pair — many clients of one home share every backhaul ray.
@@ -124,7 +124,7 @@ def build_candidate_table(district: District):
 
     return CandidateTable(
         direct_rate_mbps=direct_rate, direct_snr_db=np.asarray(direct_snr),
-        candidates=tuple(tuple(c) for c in cand),
+        candidates=cand,
         access_snr_db=tuple(access_rows), ff_rate_mbps=tuple(rate_rows))
 
 

@@ -11,8 +11,9 @@ per-subcarrier ray tracer: log-distance path loss
 (:func:`repro.channel.pathloss.log_distance_path_loss_db`) plus the
 penetration loss of every wall the straight ray crosses — the same wall
 geometry :class:`repro.channel.raytrace.PropagationModel` uses, but
-evaluated as one vectorised crossing matrix over all ~9 walls x homes
-segments at once, so a thousand-client district plans in well under a
+evaluated in vectorised batches: a bounding-box test over all ~9 walls
+x homes picks the few walls near each ray, and only those meet the
+orientation test, so a thousand-client district plans in well under a
 second.  The scalar SNRs feed the repo's MCS table
 (:func:`repro.phy.rates.phy_rate_mbps`), keeping fleet-scale
 throughput on the same rate axis as the per-home experiments.
@@ -21,6 +22,7 @@ throughput on the same rate axis as the per-home experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +31,10 @@ from repro.channel.pathloss import log_distance_path_loss_db
 
 #: Interior margin (m) client draws keep from a home's outer walls.
 CLIENT_MARGIN_M = 0.5
+
+#: Relative margin by which wall bounding boxes are widened before the
+#: crossing test (see :meth:`District.wall_losses_db`).
+WALL_BOX_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -149,7 +155,11 @@ class District:
         self.homes = tuple(homes)
         self._wall_a = np.concatenate(walls_a)
         self._wall_b = np.concatenate(walls_b)
+        self._wall_lo = np.minimum(self._wall_a, self._wall_b)
+        self._wall_hi = np.maximum(self._wall_a, self._wall_b)
         self._wall_loss = np.concatenate(losses)
+        self._relays = np.array([h.relay for h in homes], dtype=float)
+        self._relays.flags.writeable = False
         self.client_positions = np.concatenate(clients)
         self.client_home = np.asarray(client_home, dtype=int)
 
@@ -172,8 +182,8 @@ class District:
         return self.config.rows * self._tile_d
 
     def relay_positions(self):
-        """(R, 2) relay positions in district coordinates."""
-        return np.array([h.relay for h in self.homes], dtype=float)
+        """(R, 2) relay positions in district coordinates (read-only)."""
+        return self._relays
 
     def ap_positions(self):
         """(R, 2) per-home AP positions in district coordinates."""
@@ -187,24 +197,45 @@ class District:
         ``p``/``q`` are (P, 2) endpoint arrays; returns (P,) dB sums.
         Uses the proper-intersection test only (a ray grazing exactly
         along a wall endpoint is a measure-zero event the link budget
-        can ignore); batches are chunked so the (rays x walls)
-        orientation matrix never exceeds a few MB.
+        can ignore).  The test runs only on (ray, wall) pairs whose
+        bounding boxes overlap, each wall's box widened by
+        :data:`WALL_BOX_SLACK` of the largest coordinate: segments that
+        cross share a point, so their boxes overlap, and the margin
+        also keeps the pairs whose rounded orientation signs report a
+        crossing for a ray that ends within a few ulps of a wall
+        endpoint.  The losses are integers in dB, so every sum is exact
+        and the result is the same as testing every wall.  Batches are
+        chunked so the (rays x walls) box matrix stays a few MB.
         """
         p = np.atleast_2d(np.asarray(p, dtype=float))
         q = np.atleast_2d(np.asarray(q, dtype=float))
-        out = np.empty(p.shape[0])
-        a = self._wall_a[None, :, :]
-        b = self._wall_b[None, :, :]
-        chunk = max(1, int(2_000_000 // max(self._wall_loss.size, 1)))
-        for lo in range(0, p.shape[0], chunk):
-            pp = p[lo:lo + chunk, None, :]
-            qq = q[lo:lo + chunk, None, :]
+        out = np.zeros(p.shape[0])
+        lo, hi = np.minimum(p, q), np.maximum(p, q)
+        # fmax skips NaN: a NaN ray crosses nothing and must not void
+        # the margin of the rest of the batch.
+        scale = max(np.fmax.reduce(np.abs(p), axis=None, initial=1.0),
+                    np.fmax.reduce(np.abs(q), axis=None, initial=1.0),
+                    np.abs(self._wall_a).max(), np.abs(self._wall_b).max())
+        wall_lo = self._wall_lo - WALL_BOX_SLACK * scale
+        wall_hi = self._wall_hi + WALL_BOX_SLACK * scale
+        chunk = max(1, 2_000_000 // max(self._wall_loss.size, 1))
+        for first in range(0, p.shape[0], chunk):
+            rays = slice(first, first + chunk)
+            near = ((lo[rays, None, 0] <= wall_hi[None, :, 0])
+                    & (hi[rays, None, 0] >= wall_lo[None, :, 0])
+                    & (lo[rays, None, 1] <= wall_hi[None, :, 1])
+                    & (hi[rays, None, 1] >= wall_lo[None, :, 1]))
+            ray, wall = np.nonzero(near)
+            pp, qq = p[rays][ray], q[rays][ray]
+            a, b = self._wall_a[wall], self._wall_b[wall]
             d1 = _orient(a, b, pp)
             d2 = _orient(a, b, qq)
             d3 = _orient(pp, qq, a)
             d4 = _orient(pp, qq, b)
             crosses = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
-            out[lo:lo + chunk] = crosses @ self._wall_loss
+            out[rays] = np.bincount(ray[crosses],
+                                    weights=self._wall_loss[wall[crosses]],
+                                    minlength=near.shape[0])
         return out
 
     def path_loss_db(self, p, q):
@@ -233,14 +264,29 @@ class District:
         candidate even when the jittered placement pushes it past the
         radius (a home never abandons its own socket).
         """
-        pos = self.client_positions[client_index]
-        relays = self.relay_positions()
-        dist = np.linalg.norm(relays - pos[None, :], axis=1)
-        order = np.argsort(dist, kind="stable")
+        return list(self.candidates[client_index])
+
+    @cached_property
+    def candidates(self):
+        """Every client's :meth:`candidate_relays`, as a tuple of tuples.
+
+        Picked from one (clients x relays) distance matrix with one
+        stable argsort, computed on first use.
+        """
         cfg = self.config
-        picked = [int(r) for r in order[:cfg.max_candidate_relays]
-                  if dist[r] <= cfg.neighbor_radius_m]
-        home = int(self.client_home[client_index])
-        if home not in picked:
-            picked = [home] + picked[:max(cfg.max_candidate_relays - 1, 0)]
-        return picked
+        dist = np.linalg.norm(
+            self._relays[None, :, :] - self.client_positions[:, None, :],
+            axis=2)
+        order = np.argsort(dist, axis=1, kind="stable")
+        order = order[:, :cfg.max_candidate_relays]
+        inside = np.take_along_axis(dist, order, axis=1) \
+            <= cfg.neighbor_radius_m
+        picks = []
+        for home, row, keep in zip(self.client_home.tolist(),
+                                   order.tolist(), inside.tolist()):
+            picked = [r for r, ok in zip(row, keep) if ok]
+            if home not in picked:
+                picked = [home] + picked[:max(cfg.max_candidate_relays - 1,
+                                              0)]
+            picks.append(tuple(picked))
+        return tuple(picks)

@@ -4,10 +4,15 @@ Sharding unit is the *cell*: all clients whose primary is one relay.
 A ``fleet.cell-block`` task carries only plan scalars (client indices,
 precomputed rates, relay ids) plus the storm seed — every relay
 timeline it needs (its own primary's and each client's backup's) is
-rebuilt locally from :func:`repro.fleet.reroute.relay_timeline_seed`,
+derived locally from :func:`repro.fleet.reroute.relay_timeline_seed`,
 so tasks are pure functions of their params and the sweep inherits the
 full exec stack for free: process/serial bit-identity, content-
 addressed caching, manifest checkpoints and PR 7 chaos recovery.
+Cells share relays (a relay is one cell's primary and other cells'
+backup), and :func:`~repro.fleet.reroute.relay_outage_timeline`
+memoises per process, so each process runs a relay's supervisor once
+per sweep however many cells ask for it; :func:`fleet_experiment`
+clears that memo on entry, so every sweep starts cold.
 
 The driver plans the district (generation + association are
 vectorised, deterministic driver-side work), fans the cells out over
@@ -28,6 +33,7 @@ from repro.fleet.reroute import (
     ClientRerouteMachine,
     FleetReroutePolicy,
     RelayFaultStorm,
+    clear_timeline_memo,
     relay_outage_timeline,
     relay_timeline_seed,
 )
@@ -60,10 +66,11 @@ def _fleet_cell_block(storm_seed, num_steps, storm, policy, clients):
     ``clients`` rows are ``(client, primary, backup, direct_rate,
     primary_rate, backup_rate)`` plan tuples; ``storm``/``policy`` are
     the plain-dict forms of :class:`RelayFaultStorm` /
-    :class:`FleetReroutePolicy`.  Relay timelines are rebuilt here from
+    :class:`FleetReroutePolicy`.  Relay timelines come from
     ``relay_timeline_seed(storm_seed, relay)`` — identical in any
-    worker — and shared across the cell's clients, so a cell pays for
-    its primary once plus each *distinct* backup once.
+    worker — through the per-process timeline memo, so a relay another
+    cell of this process already needed costs a lookup, not a
+    supervisor run; each timeline's outage spans are parsed once.
     """
     storm = RelayFaultStorm(**storm)
     policy = FleetReroutePolicy(**policy)
@@ -150,7 +157,11 @@ def fleet_experiment(rows=4, cols=4, clients_per_home=4, seed=0,
     The returned ``latency_bound_intervals`` is the policy's hard
     bound: every observed ``reroute_latency_intervals`` entry is
     ``<=`` it by construction, and the test/bench layers assert so.
+
+    The per-process relay timeline memo is cleared on entry, so the
+    sweep's cost never depends on what ran before it in this process.
     """
+    clear_timeline_memo()
     cfg = config if config is not None else DistrictConfig(
         rows=rows, cols=cols, clients_per_home=clients_per_home, seed=seed)
     storm = _coerce_storm(storm)

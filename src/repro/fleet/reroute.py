@@ -27,6 +27,8 @@ process.
 
 from __future__ import annotations
 
+import functools
+
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +41,18 @@ from repro.supervision import (
     RelaySupervisor,
     SupervisorPolicy,
 )
-from repro.supervision.supervisor import SupervisorEventKind, SupervisorState
+from repro.supervision.supervisor import (
+    SupervisorEventKind,
+    SupervisorState,
+    record_transition,
+)
+from repro.telemetry.collector import NullCollector, current_collector
+
+#: Timelines one process keeps (least recently used evicted first).  A
+#: sweep's cells run in relay order and each needs its own relay and
+#: its clients' nearby backups, so this covers a 100-relay district
+#: whole and a larger one's neighbourhood window.
+TIMELINE_MEMO_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -111,6 +124,8 @@ class RelayTimeline:
     relaying: np.ndarray          # bool per step: FF service available
     events: tuple                 # the typed SupervisorEvent log
     step_s: float = DEFAULT_SOUNDING_INTERVAL_S
+    _spans: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def outages(self, num_steps):
         """Half-duplex outage spans parsed from the typed event log.
@@ -122,8 +137,15 @@ class RelayTimeline:
         muted), or a ``RETUNE_SUCCEEDED`` emitted in the half-duplex
         state (the ladder jumps straight back to ACTIVE without a
         RECOVERED).  Gain backoff is degraded service, not an outage,
-        and must not trigger reroute.
+        and must not trigger reroute.  The log is parsed once per
+        ``num_steps``; later calls return the same tuple.
         """
+        num_steps = int(num_steps)
+        if num_steps not in self._spans:
+            self._spans[num_steps] = self._parse_outages(num_steps)
+        return self._spans[num_steps]
+
+    def _parse_outages(self, num_steps):
         spans, start = [], None
         for event in self.events:
             step = int(round(event.time_s / self.step_s)) - 1
@@ -151,15 +173,38 @@ def relay_outage_timeline(seed, num_steps, storm: RelayFaultStorm,
                           step_s=DEFAULT_SOUNDING_INTERVAL_S):
     """Run one relay's supervisor against its seeded fault storm.
 
-    Deterministic in ``(seed, num_steps, storm)``: every fault draw
-    comes from labelled :class:`~repro.faults.FaultSchedule` streams,
-    so any worker process reproduces the identical timeline — the
-    property that lets a client task rebuild its primary's *and*
+    Deterministic in ``(seed, num_steps, storm, step_s)``: every fault
+    draw comes from labelled :class:`~repro.faults.FaultSchedule`
+    streams, so any worker process reproduces the identical timeline —
+    the property that lets a client task rebuild its primary's *and*
     backup's trajectories locally instead of sharing state.
+
+    The supervisor runs once per key and process: the timeline is
+    memoised (least recently used of :data:`TIMELINE_MEMO_SIZE`, cleared
+    by :func:`clear_timeline_memo`), so a repeat call returns the same
+    object, whose ``relaying`` is read-only.  The run itself reports to
+    no collector; every call, hit or miss, replays the event log's
+    ``supervision.*`` transitions into the ambient collector, so
+    telemetry reads as if the supervisor had run each time.
     """
     if isinstance(storm, dict):
         storm = RelayFaultStorm(**storm)
-    num_steps = int(num_steps)
+    timeline = _supervised_timeline(int(seed), int(num_steps), storm,
+                                    float(step_s))
+    tel = current_collector()
+    if tel.enabled:
+        for event in timeline.events:
+            record_transition(tel, event)
+    return timeline
+
+
+def clear_timeline_memo():
+    """Forget every memoised timeline (each fleet sweep starts cold)."""
+    _supervised_timeline.cache_clear()
+
+
+@functools.lru_cache(maxsize=TIMELINE_MEMO_SIZE)
+def _supervised_timeline(seed, num_steps, storm, step_s):
     schedule = FaultSchedule(seed)
     u_jump = schedule.stream("si-jump").random(num_steps)
     u_loss = schedule.stream("poll-loss").random(num_steps)
@@ -185,7 +230,8 @@ def relay_outage_timeline(seed, num_steps, storm: RelayFaultStorm,
         escalation_hold_s=0.5 * step_s, recovery_hold_s=1.2 * step_s,
         fallback_sounding_age_s=0.5)
     supervisor = RelaySupervisor(monitor=RelayHealthMonitor(alpha=1.0),
-                                 policy=policy, retune=attempt_retune)
+                                 policy=policy, retune=attempt_retune,
+                                 telemetry=NullCollector())
 
     relaying = np.zeros(num_steps, dtype=bool)
     age_steps = 0
@@ -202,6 +248,7 @@ def relay_outage_timeline(seed, num_steps, storm: RelayFaultStorm,
                                    sounding_age_s=age_steps * step_s)
         supervisor.step(now_s)
         relaying[t] = supervisor.relaying
+    relaying.flags.writeable = False
     return RelayTimeline(relaying=relaying, events=tuple(supervisor.events),
                          step_s=step_s)
 
@@ -266,21 +313,20 @@ class ClientRerouteMachine:
             backup_timeline: RelayTimeline, num_steps):
         """Simulate ``num_steps`` sounding intervals; returns the trace."""
         num_steps = int(num_steps)
-        p_ok = primary_timeline.relaying
-        b_ok = backup_timeline.relaying if backup_timeline is not None \
-            else np.zeros(num_steps, dtype=bool)
+        p_ok = primary_timeline.relaying.tolist()
+        b_ok = backup_timeline.relaying.tolist() \
+            if backup_timeline is not None else [False] * num_steps
         outages = primary_timeline.outages(num_steps)
+        # span_at[t]: the first outage in log order that holds step t
+        # (-1: none), filled last span first so earlier spans win.
+        span_at = np.full(num_steps, -1)
+        for i in range(len(outages) - 1, -1, -1):
+            start, end = outages[i]
+            span_at[start:max(start, end)] = i
+        span_at = span_at.tolist()
 
-        throughput = np.empty(num_steps)
-        serving = np.full(num_steps, self.primary, dtype=int)
-        trace = RerouteTrace(throughput_mbps=throughput, serving=serving)
-
-        # Precompute, per outage, when the switch to backup completes.
-        switch_at = {}
-        for start, end in outages:
-            detect = start + self.policy.detection_intervals
-            switch_at[start] = self._next_tick(detect)
-
+        throughput, serving, reroutes = [], [], []
+        failbacks = 0
         on_backup = False
         healthy_streak = 0
         current_outage = None
@@ -288,16 +334,17 @@ class ClientRerouteMachine:
         for t in range(num_steps):
             # Track which outage (if any) step t falls in.
             if current_outage is None or t >= current_outage[1]:
-                current_outage = next(((s, e) for s, e in outages
-                                       if s <= t < e), None)
+                i = span_at[t]
+                current_outage = outages[i] if i >= 0 else None
                 # A new outage only arms a switch when the client is
                 # actually served by the primary; while already on the
                 # backup there is nothing to reroute (and a stale
                 # pending switch must not replay after failback).
                 if (current_outage is not None and self.backup >= 0
                         and not on_backup):
-                    pending = (current_outage[0],
-                               switch_at[current_outage[0]])
+                    mute_step = current_outage[0]
+                    pending = (mute_step, self._next_tick(
+                        mute_step + self.policy.detection_intervals))
 
             if pending is not None and not on_backup:
                 mute_step, switch_step = pending
@@ -305,7 +352,7 @@ class ClientRerouteMachine:
                     on_backup = True
                     healthy_streak = 0
                     rescued = bool(b_ok[t])
-                    trace.reroutes.append(RerouteEvent(
+                    reroutes.append(RerouteEvent(
                         mute_step=mute_step, switch_step=switch_step,
                         latency_intervals=switch_step - mute_step,
                         rescued=rescued))
@@ -319,19 +366,21 @@ class ClientRerouteMachine:
                 if (healthy_streak >= self.policy.failback_hold_intervals
                         and t == self._next_tick(t)):
                     on_backup = False
-                    trace.failbacks += 1
+                    failbacks += 1
 
             if on_backup:
                 if b_ok[t]:
-                    serving[t] = self.backup
-                    throughput[t] = self.backup_rate
+                    serving.append(self.backup)
+                    throughput.append(self.backup_rate)
                 else:
-                    serving[t] = -1
-                    throughput[t] = self.direct_rate
+                    serving.append(-1)
+                    throughput.append(self.direct_rate)
             elif p_ok[t]:
-                serving[t] = self.primary
-                throughput[t] = self.primary_rate
+                serving.append(self.primary)
+                throughput.append(self.primary_rate)
             else:
-                serving[t] = -1
-                throughput[t] = self.direct_rate
-        return trace
+                serving.append(-1)
+                throughput.append(self.direct_rate)
+        return RerouteTrace(throughput_mbps=np.array(throughput, dtype=float),
+                            serving=np.array(serving, dtype=int),
+                            reroutes=reroutes, failbacks=failbacks)

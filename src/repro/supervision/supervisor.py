@@ -75,6 +75,17 @@ class SupervisorEvent:
                f"(state={self.state.value}){extra}"
 
 
+def record_transition(tel, event):
+    """Count and log one ladder transition on collector ``tel``.
+
+    The ``supervision.transitions`` counter (labelled by event kind)
+    and the ``supervision.transition`` event mirror the typed log.
+    """
+    tel.counter("supervision.transitions", kind=event.kind.value).inc()
+    tel.event("supervision.transition", kind=event.kind.value,
+              state=event.state.value)
+
+
 @dataclass
 class SupervisorPolicy:
     """Ladder dynamics (health thresholds live on the monitor)."""
@@ -172,9 +183,7 @@ class RelaySupervisor:
         tel = self._telemetry if self._telemetry is not None \
             else current_collector()
         if tel.enabled:
-            tel.counter("supervision.transitions", kind=kind.value).inc()
-            tel.event("supervision.transition", kind=kind.value,
-                      state=self.state.value)
+            record_transition(tel, event)
         if self._on_event is not None:
             self._on_event(event)
         return event
