@@ -50,11 +50,11 @@ def _timed(label, fn):
     return wall, result
 
 
-def run(clients, jobs, seed, block):
+def run(clients, jobs, seed):
     cpus = available_cpus()
     print(f"sweep benchmark: overall_gains_experiment("
           f"num_clients={clients}, seed={seed}), jobs={jobs}, "
-          f"backend=process, block={block}, cpus available={cpus}")
+          f"backend=process, cpus available={cpus}")
     with tempfile.TemporaryDirectory() as tmp:
         cache = ResultCache(os.path.join(tmp, "cache"))
         serial_s, serial = _timed(
@@ -63,12 +63,12 @@ def run(clients, jobs, seed, block):
         parallel_s, parallel = _timed(
             "parallel cold", lambda: overall_gains_experiment(
                 num_clients=clients, seed=seed, jobs=jobs,
-                backend="process", cache=cache, block_size=block))
+                backend="process", cache=cache))
         parallel_stats = last_sweep_stats()
         warm_s, warm = _timed(
             "parallel warm", lambda: overall_gains_experiment(
                 num_clients=clients, seed=seed, jobs=jobs,
-                backend="process", cache=cache, block_size=block))
+                backend="process", cache=cache))
         cache_stats = cache.stats
 
     for key in ARRAY_KEYS:
@@ -83,7 +83,6 @@ def run(clients, jobs, seed, block):
         "seed": seed,
         "jobs": jobs,
         "backend": "process",
-        "block_size": block,
         "serial_s": round(serial_s, 4),
         "parallel_s": round(parallel_s, 4),
         "warm_cache_s": round(warm_s, 4),
@@ -104,9 +103,6 @@ def main(argv=None):
     parser.add_argument("--jobs", type=int,
                         default=min(4, max(available_cpus(), 1)))
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--block", type=int, default=4,
-                        help="clients per dispatched task "
-                             "(netsim client-block batching)")
     parser.add_argument("--out", default=os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         "BENCH_sweep.json"))
@@ -120,7 +116,7 @@ def main(argv=None):
                              "available")
     args = parser.parse_args(argv)
 
-    record = run(args.clients, args.jobs, args.seed, args.block)
+    record = run(args.clients, args.jobs, args.seed)
 
     cpus = record["machine"]["available_cpus"]
     gate = {"required": args.min_parallel_speedup or None,

@@ -315,7 +315,7 @@ class _Dispatcher:
     """
 
     def __init__(self, backend, jobs, policy, chaos, tel, collect, stats,
-                 complete, quarantine, fn_of):
+                 complete, quarantine):
         self.backend = backend
         self.jobs = jobs
         self.policy = policy
@@ -325,7 +325,6 @@ class _Dispatcher:
         self.stats = stats
         self._complete = complete
         self._quarantine_cb = quarantine
-        self._fn_of = fn_of
         self.ledger = FailureLedger(policy)
         self.queue = deque()
         self.delayed = []               # heap of (ready_at, seq, chunk)
@@ -770,16 +769,13 @@ def run_sweep(tasks, jobs=None, backend=None, cache=None, checkpoint=None,
         done[failure.index] = True
         failures.append(failure)
 
-    def _fn_of(index):
-        return tasks[index].fn
-
     try:
         with tel.span("exec.sweep", backend=backend, jobs=jobs):
             if backend == "serial" or jobs == 1 or len(pending) <= 1:
                 stats.backend = "serial" if jobs == 1 else backend
                 dispatcher = _Dispatcher(
                     "serial", 1, policy, chaos, tel, collect, stats,
-                    _complete, _quarantine, _fn_of)
+                    _complete, _quarantine)
                 dispatcher.run([[item] for item in pending])
                 stats.chunks = len(pending)
             else:
@@ -791,7 +787,7 @@ def run_sweep(tasks, jobs=None, backend=None, cache=None, checkpoint=None,
                           unit="layout").set(size)
                 dispatcher = _Dispatcher(
                     backend, jobs, policy, chaos, tel, collect, stats,
-                    _complete, _quarantine, _fn_of)
+                    _complete, _quarantine)
                 dispatcher.run(chunks)
     finally:
         if manifest is not None:

@@ -31,7 +31,7 @@ import numpy as np
 from repro.core.baselines import AmplifyForwardRelay, half_duplex_throughput_mbps
 from repro.core.latency import LatencyBudget
 from repro.core.relay import FastForwardRelay, RelayConfig
-from repro.exec import Task, resolve_task_fn, run_sweep, task_fn
+from repro.exec import Task, run_sweep, task_fn
 from repro.netsim.metrics import median_gain, percentile_gain, relative_gains
 from repro.netsim.testbed import Testbed, paper_scenarios
 from repro.telemetry.collector import current_collector
@@ -71,26 +71,16 @@ def _collect_clients(testbed, num_clients, seed):
     return positions, child_seeds(seed + 1, num_clients)
 
 
-def _client_tasks(fn_name, scenarios, num_clients, seed, stream, extra=None,
-                  block_size=None):
-    """One engine task per (scenario, client) — or per client *block*.
+def _client_tasks(fn_name, scenarios, num_clients, seed, stream, extra=None):
+    """One engine task per (scenario, client).
 
     The per-client scaffolding every sweep used to duplicate — scenario
     ``i`` gets testbed seed ``seed + i``, its clients come from
     ``_collect_clients(testbed, count, seed + stream + i)`` — hoisted
     into one helper so all experiments derive per-client seeds the same
     way (and keep the seed implementation's exact numbers).
-
-    ``block_size`` > 1 packs that many consecutive clients into one
-    ``netsim.client-block`` task (amortising per-task dispatch,
-    serialisation and cache bookkeeping); per-client seeds travel inside
-    the block, so flattened results are bit-identical to the per-client
-    layout in the same order.  The block carries ``fn_name``'s
-    registered version, so its cache key changes whenever a per-client
-    task's would.  ``None`` means one task per client, the layout every
-    cache entry and manifest produced so far was keyed under.
     """
-    units = []
+    tasks = []
     for s_idx, scenario in enumerate(scenarios):
         testbed = Testbed(scenario, seed=seed + s_idx)
         count = max(1, num_clients // len(scenarios))
@@ -101,39 +91,18 @@ def _client_tasks(fn_name, scenarios, num_clients, seed, stream, extra=None,
                       "client": client}
             if extra:
                 params.update(extra)
-            units.append((params, client_seed))
-    if not block_size or block_size <= 1:
-        return [Task(fn_name, params, seed=client_seed)
-                for params, client_seed in units]
-    _, fn_version = resolve_task_fn(fn_name)
-    return [
-        Task("netsim.client-block",
-             {"fn_name": fn_name, "fn_version": fn_version,
-              "blocks": tuple(units[i : i + block_size])})
-        for i in range(0, len(units), int(block_size))
-    ]
+            tasks.append(Task(fn_name, params, seed=client_seed))
+    return tasks
 
 
-def _task_client_count(tasks):
-    """Clients covered by a task list (blocks count their members)."""
-    return sum(len(t.params["blocks"]) if t.fn == "netsim.client-block"
-               else 1 for t in tasks)
+def _rates_by_level(rows, num_levels):
+    """FF and HD rates of a level-major sweep as ``(level, client)`` arrays.
 
-
-def _block_rows(results):
-    """Flatten sweep results back to one row per client.
-
-    Per-client tasks return dict rows; ``netsim.client-block`` tasks
-    return a list of them.  Blocks preserve client order, so the
-    flattened sequence matches the unblocked layout exactly.
+    Every level runs the same clients, so the flat rows split evenly.
     """
-    rows = []
-    for result in results:
-        if isinstance(result, list):
-            rows.extend(result)
-        else:
-            rows.append(result)
-    return rows
+    shape = (num_levels, len(rows) // max(num_levels, 1))
+    return (np.asarray([r["ff"] for r in rows]).reshape(shape),
+            np.asarray([r["hd"] for r in rows]).reshape(shape))
 
 
 def _sub_checkpoint(checkpoint, label):
@@ -150,37 +119,6 @@ def _ft_kwargs(max_retries, task_timeout, chaos):
 # ---------------------------------------------------------------------------
 # Per-client task functions (pure, seeded; registered with the engine)
 # ---------------------------------------------------------------------------
-
-@task_fn("netsim.client-block", version="1")
-def _client_block(fn_name, fn_version, blocks):
-    """Run a registered per-client task over a whole block of clients.
-
-    ``blocks`` is a sequence of ``(params, seed)`` pairs; each client's
-    RNG is materialised from its own seed exactly as the executor would
-    for a standalone task, so the returned row list is bit-identical to
-    running the clients as individual tasks.  Batching them in one task
-    amortises engine dispatch, result pickling and cache bookkeeping
-    over ``len(blocks)`` clients — the netsim half of the sweep fast
-    path (the PHY half batches inside the signal processing itself).
-
-    ``fn_version`` is the version ``fn_name`` was registered under when
-    the block was built; as a parameter it enters the block's cache
-    key.  A block built under another version is refused, so no cache
-    entry is ever stored under a version its rows did not come from.
-    """
-    fn, version = resolve_task_fn(fn_name)
-    if version != fn_version:
-        raise ValueError(
-            f"client block built for {fn_name!r} version {fn_version!r}, "
-            f"but version {version!r} is registered")
-    rows = []
-    for params, client_seed in blocks:
-        kwargs = dict(params)
-        if client_seed is not None:
-            kwargs["rng"] = np.random.default_rng(client_seed)
-        rows.append(fn(**kwargs))
-    return rows
-
 
 @task_fn("netsim.overall-gains-client", version="2")
 def _overall_gains_client(scenario, testbed_seed, client, relay_config=None,
@@ -367,16 +305,19 @@ def overall_gains_experiment(num_clients=60, seed=0, scenarios=None,
     Returns arrays ``ap_only``, ``half_duplex``, ``fastforward`` (Mbps)
     plus per-client diagnostics (direct effective SNR, usable direct
     streams) for the Fig. 15 classification.
+
+    ``block_size`` is the number of clients per dispatched chunk, passed
+    to :func:`repro.exec.run_sweep` as ``chunk_size`` (``None`` takes its
+    default layout).  Each client is still its own task and cache entry,
+    so the layout changes neither the results nor the cache keys.
     """
     scenarios = scenarios if scenarios is not None else paper_scenarios()
     extra = {"relay_config": relay_config} if relay_config is not None else None
     tasks = _client_tasks("netsim.overall-gains-client", scenarios,
-                          num_clients, seed, stream=100, extra=extra,
-                          block_size=block_size)
-    rows = _block_rows(run_sweep(
-        tasks, jobs=jobs, backend=backend, cache=cache,
-        checkpoint=checkpoint,
-        **_ft_kwargs(max_retries, task_timeout, chaos)).results)
+                          num_clients, seed, stream=100, extra=extra)
+    rows = run_sweep(tasks, jobs=jobs, backend=backend, cache=cache,
+                     checkpoint=checkpoint, chunk_size=block_size,
+                     **_ft_kwargs(max_retries, task_timeout, chaos)).results
 
     out = {
         "ap_only": np.asarray([r["ap"] for r in rows]),
@@ -397,17 +338,14 @@ def overall_gains_experiment(num_clients=60, seed=0, scenarios=None,
 @_traced("siso-gains")
 def siso_gains_experiment(num_clients=60, seed=0, scenarios=None, jobs=None,
                           cache=None, backend=None, checkpoint=None,
-                          block_size=None, max_retries=None,
-                          task_timeout=None, chaos=None):
+                          max_retries=None, task_timeout=None, chaos=None):
     """Fig. 14 data: SISO AP/relay/client — pure SNR-gain territory."""
     scenarios = scenarios if scenarios is not None else paper_scenarios()
     tasks = _client_tasks("netsim.siso-gains-client", scenarios,
-                          num_clients, seed, stream=200,
-                          block_size=block_size)
-    rows = _block_rows(run_sweep(
-        tasks, jobs=jobs, backend=backend, cache=cache,
-        checkpoint=checkpoint,
-        **_ft_kwargs(max_retries, task_timeout, chaos)).results)
+                          num_clients, seed, stream=200)
+    rows = run_sweep(tasks, jobs=jobs, backend=backend, cache=cache,
+                     checkpoint=checkpoint,
+                     **_ft_kwargs(max_retries, task_timeout, chaos)).results
 
     out = {
         "ap_only": np.asarray([r["ap"] for r in rows]),
@@ -424,9 +362,8 @@ def siso_gains_experiment(num_clients=60, seed=0, scenarios=None, jobs=None,
 @_traced("uplink-gains")
 def uplink_gains_experiment(num_clients=40, seed=0, client_tx_power_dbm=15.0,
                             jobs=None, cache=None, backend=None,
-                            checkpoint=None, block_size=None,
-                            max_retries=None, task_timeout=None,
-                            chaos=None):
+                            checkpoint=None, max_retries=None,
+                            task_timeout=None, chaos=None):
     """Uplink (client -> AP) gains — "the relay can be used to improve
     the link from the client to the AP as well" (§1, footnote 1).
 
@@ -438,12 +375,10 @@ def uplink_gains_experiment(num_clients=40, seed=0, client_tx_power_dbm=15.0,
     """
     tasks = _client_tasks(
         "netsim.uplink-gains-client", paper_scenarios(), num_clients, seed,
-        stream=700, extra={"client_tx_power_dbm": client_tx_power_dbm},
-        block_size=block_size)
-    rows = _block_rows(run_sweep(
-        tasks, jobs=jobs, backend=backend, cache=cache,
-        checkpoint=checkpoint,
-        **_ft_kwargs(max_retries, task_timeout, chaos)).results)
+        stream=700, extra={"client_tx_power_dbm": client_tx_power_dbm})
+    rows = run_sweep(tasks, jobs=jobs, backend=backend, cache=cache,
+                     checkpoint=checkpoint,
+                     **_ft_kwargs(max_retries, task_timeout, chaos)).results
     out = {
         "ap_only": np.asarray([r["ap"] for r in rows]),
         "fastforward": np.asarray([r["ff"] for r in rows]),
@@ -494,8 +429,7 @@ def scenario_class_experiment(num_clients=90, seed=0, jobs=None, cache=None,
 @_traced("latency-sweep")
 def latency_sweep_experiment(latencies_ns=(0, 100, 200, 300, 400, 500),
                              num_clients=40, seed=0, jobs=None, cache=None,
-                             backend=None, checkpoint=None,
-                             block_size=None, max_retries=None,
+                             backend=None, checkpoint=None, max_retries=None,
                              task_timeout=None, chaos=None):
     """Fig. 16: median throughput gain vs relay processing latency.
 
@@ -510,31 +444,22 @@ def latency_sweep_experiment(latencies_ns=(0, 100, 200, 300, 400, 500),
     results = {"latency_ns": np.asarray(latencies_ns, dtype=float)}
     base = LatencyBudget(adc_dac_s=50e-9, cnf_digital_s=50e-9,
                          extra_buffering_s=0.0).total_s()
-    tasks, spans, clients_so_far = [], [], 0
+    tasks = []
     for extra_ns in latencies_ns:
         # The sweep interprets the x-axis as *total* processing latency,
         # matching the paper ("vary the processing delay at the FF relay
         # from 100ns to 400ns"): the base budget is ~100 ns.
         extra = max(extra_ns * 1e-9 - base, 0.0)
-        lat_tasks = _client_tasks(
+        tasks.extend(_client_tasks(
             "netsim.latency-client", scenarios, num_clients, seed,
-            stream=300, extra={"extra_buffering_s": extra},
-            block_size=block_size)
-        covered = _task_client_count(lat_tasks)
-        spans.append((clients_so_far, clients_so_far + covered))
-        clients_so_far += covered
-        tasks.extend(lat_tasks)
-    rows = _block_rows(run_sweep(
-        tasks, jobs=jobs, backend=backend, cache=cache,
-        checkpoint=checkpoint,
-        **_ft_kwargs(max_retries, task_timeout, chaos)).results)
+            stream=300, extra={"extra_buffering_s": extra}))
+    rows = run_sweep(tasks, jobs=jobs, backend=backend, cache=cache,
+                     checkpoint=checkpoint,
+                     **_ft_kwargs(max_retries, task_timeout, chaos)).results
 
-    medians = []
-    for lo, hi in spans:
-        ff = np.asarray([r["ff"] for r in rows[lo:hi]])
-        hd = np.asarray([r["hd"] for r in rows[lo:hi]])
-        medians.append(median_gain(ff, hd))
-    results["median_gain"] = np.asarray(medians)
+    ff, hd = _rates_by_level(rows, len(latencies_ns))
+    results["median_gain"] = np.asarray(
+        [median_gain(f, h) for f, h in zip(ff, hd)])
     return results
 
 
@@ -566,39 +491,30 @@ def no_cnf_experiment(num_clients=60, seed=0, jobs=None, cache=None,
 def cancellation_sweep_experiment(cancellations_db=(100, 102, 104, 106, 108, 110),
                                   num_clients=40, seed=0, jobs=None,
                                   cache=None, backend=None, checkpoint=None,
-                                  block_size=None, max_retries=None,
-                                  task_timeout=None, chaos=None):
+                                  max_retries=None, task_timeout=None,
+                                  chaos=None):
     """Fig. 18: median gain vs the cancellation the relay achieves.
 
     Cancellation caps amplification (minus the loop margin); dead-spot
     clients lose the most when the cap drops.
     """
     scenarios = paper_scenarios()
-    tasks, spans, clients_so_far = [], [], 0
+    tasks = []
     for canc in cancellations_db:
-        c_tasks = _client_tasks(
+        tasks.extend(_client_tasks(
             "netsim.cancellation-client", scenarios, num_clients, seed,
-            stream=400, extra={"cancellation_db": float(canc)},
-            block_size=block_size)
-        covered = _task_client_count(c_tasks)
-        spans.append((clients_so_far, clients_so_far + covered))
-        clients_so_far += covered
-        tasks.extend(c_tasks)
-    rows = _block_rows(run_sweep(
-        tasks, jobs=jobs, backend=backend, cache=cache,
-        checkpoint=checkpoint,
-        **_ft_kwargs(max_retries, task_timeout, chaos)).results)
+            stream=400, extra={"cancellation_db": float(canc)}))
+    rows = run_sweep(tasks, jobs=jobs, backend=backend, cache=cache,
+                     checkpoint=checkpoint,
+                     **_ft_kwargs(max_retries, task_timeout, chaos)).results
 
-    medians, tails = [], []
-    for lo, hi in spans:
-        ff = np.asarray([r["ff"] for r in rows[lo:hi]])
-        hd = np.asarray([r["hd"] for r in rows[lo:hi]])
-        medians.append(median_gain(ff, hd))
-        tails.append(percentile_gain(ff, hd, 80))
+    ff, hd = _rates_by_level(rows, len(cancellations_db))
     return {
         "cancellation_db": np.asarray(cancellations_db, dtype=float),
-        "median_gain": np.asarray(medians),
-        "p80_gain": np.asarray(tails),
+        "median_gain": np.asarray(
+            [median_gain(f, h) for f, h in zip(ff, hd)]),
+        "p80_gain": np.asarray(
+            [percentile_gain(f, h, 80) for f, h in zip(ff, hd)]),
     }
 
 
@@ -606,8 +522,7 @@ def cancellation_sweep_experiment(cancellations_db=(100, 102, 104, 106, 108, 110
 def link_health_experiment(num_clients=4, seed=2014, n_symbols=24,
                            fault=None, scenarios=None, jobs=None,
                            cache=None, backend=None, checkpoint=None,
-                           block_size=None, max_retries=None,
-                           task_timeout=None, chaos=None):
+                           max_retries=None, task_timeout=None, chaos=None):
     """Probe-instrumented relay passes: the link-health sweep.
 
     Each client runs a known reference frame through its sample-level
@@ -626,12 +541,10 @@ def link_health_experiment(num_clients=4, seed=2014, n_symbols=24,
     if fault is not None:
         extra["fault"] = fault
     tasks = _client_tasks("netsim.link-health-client", scenarios,
-                          num_clients, seed, stream=800, extra=extra,
-                          block_size=block_size)
-    rows = _block_rows(run_sweep(
-        tasks, jobs=jobs, backend=backend, cache=cache,
-        checkpoint=checkpoint,
-        **_ft_kwargs(max_retries, task_timeout, chaos)).results)
+                          num_clients, seed, stream=800, extra=extra)
+    rows = run_sweep(tasks, jobs=jobs, backend=backend, cache=cache,
+                     checkpoint=checkpoint,
+                     **_ft_kwargs(max_retries, task_timeout, chaos)).results
 
     keys = sorted({k for row in rows for k in row})
     aggregate = {}

@@ -1,10 +1,10 @@
 """Self-contained no-JS SVG flamegraph from collapsed stacks.
 
-Same design rules as :mod:`repro.probes.html_report`: inline SVG,
-inline CSS, no scripts, no external assets — the file renders anywhere
-a CI artifact can be opened.  Without JavaScript there is no zoom, so
-every frame gets a ``<title>`` tooltip (name, nanoseconds, percentage)
-and frames too narrow to label still draw as slivers.
+Built on the page primitives of :mod:`repro.probes.html_report`: inline
+SVG, inline CSS, no scripts, no external assets — the file renders
+anywhere a CI artifact can be opened.  Without JavaScript there is no
+zoom, so every frame gets a ``<title>`` tooltip (name, nanoseconds,
+percentage) and frames too narrow to label still draw as slivers.
 
 Layout is the classic icicle: root frames at the top, callees below,
 width proportional to inclusive time.  Input is the folded-stack dict
@@ -64,14 +64,14 @@ def _fmt_ns(ns):
 
 def render_flamegraph_svg(stacks, title="flamegraph"):
     """Folded stacks → one self-contained ``<svg>`` string."""
+    # Imported here: the ``repro.probes`` package pulls in the PHY, which
+    # would more than double the import time of ``repro.obs``.
+    from repro.probes.html_report import svg, svg_placeholder, svg_text
+
     root = _fold_to_tree(stacks)
     grand_total = root.total_ns
     if grand_total <= 0:
-        return (f'<svg viewBox="0 0 {_WIDTH:.0f} 60" role="img" '
-                f'xmlns="http://www.w3.org/2000/svg">'
-                f'<text x="{_WIDTH / 2:.0f}" y="34" font-size="13" '
-                f'text-anchor="middle" fill="#94a3b8" '
-                f'font-family="monospace">no span samples</text></svg>')
+        return svg_placeholder("no span samples", _WIDTH, 60.0)
 
     cells = []
     max_depth = [0]
@@ -91,9 +91,8 @@ def render_flamegraph_svg(stacks, title="flamegraph"):
 
     layout(root, 0.0, _WIDTH, -1)
     height = (max_depth[0] + 1) * _ROW_H + 40.0
-    body = [f'<text x="8" y="16" font-size="12" fill="#334155" '
-            f'font-family="monospace">{html.escape(title)} — total '
-            f'{_fmt_ns(grand_total)}</text>']
+    body = [svg_text(8, 16, f"{title} — total {_fmt_ns(grand_total)}",
+                     size=12, anchor="start")]
     for frame, x, width, depth in cells:
         if width < 0.1:
             continue
@@ -109,21 +108,13 @@ def render_flamegraph_svg(stacks, title="flamegraph"):
         if label_chars >= 3:
             text = frame.name if len(frame.name) <= label_chars \
                 else frame.name[:label_chars - 1] + "…"
-            body.append(
-                f'<text x="{x + 4:.2f}" y="{y + _ROW_H - 8:.1f}" '
-                f'font-size="11" fill="#f8fafc" font-family="monospace">'
-                f"{html.escape(text)}</text>")
-    return (f'<svg viewBox="0 0 {_WIDTH:.0f} {height:.0f}" role="img" '
-            f'xmlns="http://www.w3.org/2000/svg">{"".join(body)}</svg>')
+            body.append(svg_text(x + 4, y + _ROW_H - 8, text,
+                                 anchor="start", color="#f8fafc"))
+    return svg("".join(body), _WIDTH, height)
 
 
 _CSS = """
-body { font-family: monospace; margin: 24px; color: #0f172a;
-       background: #f8fafc; }
-h1 { font-size: 20px; }
-.panel { background: #ffffff; border: 1px solid #e2e8f0; border-radius: 8px;
-         padding: 12px; max-width: 1160px; }
-.meta { color: #64748b; font-size: 12px; }
+.panel { max-width: 1160px; }
 pre { font-size: 12px; background: #f1f5f9; padding: 10px;
       border-radius: 6px; overflow-x: auto; }
 """
@@ -132,31 +123,27 @@ pre { font-size: 12px; background: #f1f5f9; padding: 10px;
 def render_flamegraph_html(stacks, title="FastForward profile",
                            verdict_lines=()):
     """A full static HTML page: flamegraph panel + optional verdict."""
+    from repro.probes.html_report import html_page
+
     verdict = ""
     if verdict_lines:
         text = "\n".join(str(line) for line in verdict_lines)
         verdict = f"<pre>{html.escape(text)}</pre>"
-    return (
-        "<!DOCTYPE html>\n"
-        '<html lang="en"><head><meta charset="utf-8">'
-        f"<title>{html.escape(title)}</title>"
-        f"<style>{_CSS}</style></head><body>"
-        f"<h1>{html.escape(title)}</h1>"
-        '<p class="meta">span-tree flamegraph · hover a frame for '
-        "timings · static report, no scripts, no external assets</p>"
+    return html_page(
+        title, "span-tree flamegraph · hover a frame for timings",
         f"{verdict}"
         f'<div class="panel">{render_flamegraph_svg(stacks, title=title)}'
-        "</div></body></html>\n")
+        "</div>", css=_CSS)
 
 
 def write_flamegraph_html(stacks, path, title="FastForward profile",
                           verdict_lines=()):
     """Render and write the flamegraph page; returns ``path``."""
-    text = render_flamegraph_html(stacks, title=title,
-                                  verdict_lines=verdict_lines)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return path
+    from repro.probes.html_report import write_page
+
+    return write_page(render_flamegraph_html(stacks, title=title,
+                                             verdict_lines=verdict_lines),
+                      path)
 
 
 __all__ = ["render_flamegraph_svg", "render_flamegraph_html",

@@ -10,6 +10,7 @@ anywhere a CI artifact can be opened.
 
 Entry points: :func:`render_html_report` (string) and
 :func:`write_html_report` (file), wired to ``repro report --html``.
+:mod:`repro.obs.flamegraph` builds on the same page primitives.
 """
 
 from __future__ import annotations
@@ -55,13 +56,15 @@ def _axis(x0, y0, x1, y1):
             f'y2="{y1:.1f}" stroke="#94a3b8" stroke-width="1"/>')
 
 
-def _text(x, y, s, size=11, anchor="middle", color="#334155"):
+def svg_text(x, y, s, size=11, anchor="middle", color="#334155"):
+    """One escaped monospace ``<text>`` element."""
     return (f'<text x="{x:.1f}" y="{y:.1f}" font-size="{size}" '
             f'text-anchor="{anchor}" fill="{color}" '
             f'font-family="monospace">{html.escape(str(s))}</text>')
 
 
-def _svg(body, width=_PANEL_W, height=_PANEL_H):
+def svg(body, width=_PANEL_W, height=_PANEL_H):
+    """Wrap SVG markup in a scalable ``<svg viewBox>`` element."""
     return (f'<svg viewBox="0 0 {width:.0f} {height:.0f}" '
             f'role="img" xmlns="http://www.w3.org/2000/svg">{body}</svg>')
 
@@ -74,9 +77,10 @@ def _span(lo, hi):
     return lo - pad, hi + pad
 
 
-def _placeholder(message):
-    return _svg(_text(_PANEL_W / 2, _PANEL_H / 2, message, size=13,
-                      color="#94a3b8"))
+def svg_placeholder(message, width=_PANEL_W, height=_PANEL_H):
+    """An empty figure that says why it is empty."""
+    return svg(svg_text(width / 2, height / 2, message, size=13,
+                        color="#94a3b8"), width, height)
 
 
 def _legend(sites, all_sites, y=16.0):
@@ -86,7 +90,7 @@ def _legend(sites, all_sites, y=16.0):
         color = _site_color(site, all_sites)
         parts.append(f'<rect x="{x:.1f}" y="{y - 8:.1f}" width="9" '
                      f'height="9" fill="{color}"/>')
-        parts.append(_text(x + 14, y, site, size=10, anchor="start"))
+        parts.append(svg_text(x + 14, y, site, size=10, anchor="start"))
         x += 14 + 7.2 * len(site) + 18
     return "".join(parts)
 
@@ -101,7 +105,7 @@ def _panel_constellation(payload):
               if ev.get("name") == "probes.constellation"]
     sites = _sites_in(points)
     if not points or not sites:
-        return _placeholder("no constellation samples")
+        return svg_placeholder("no constellation samples")
     coords = []
     for labels, _ in points:
         try:
@@ -110,7 +114,7 @@ def _panel_constellation(payload):
         except (KeyError, TypeError, ValueError):
             continue
     if not coords:
-        return _placeholder("no constellation samples")
+        return svg_placeholder("no constellation samples")
     extent = max(max(abs(i), abs(q)) for _, i, q in coords)
     extent = max(extent, 1e-6) * 1.15
     cx, cy = _PANEL_W / 2, _PANEL_H / 2 + 8
@@ -118,21 +122,21 @@ def _panel_constellation(payload):
     body = [_legend(sites, sites)]
     body.append(_axis(cx - half, cy, cx + half, cy))
     body.append(_axis(cx, cy - half, cx, cy + half))
-    body.append(_text(cx + half, cy + 14, "I", size=10))
-    body.append(_text(cx - 10, cy - half + 4, "Q", size=10))
+    body.append(svg_text(cx + half, cy + 14, "I", size=10))
+    body.append(svg_text(cx - 10, cy - half + 4, "Q", size=10))
     for site, i, q in coords:
         px = cx + (i / extent) * half
         py = cy - (q / extent) * half
         body.append(f'<circle cx="{px:.1f}" cy="{py:.1f}" r="2.4" '
                     f'fill="{_site_color(site, sites)}" fill-opacity="0.7"/>')
-    return _svg("".join(body))
+    return svg("".join(body))
 
 
 def _panel_spectrum(payload):
     points = _metric_points(payload, "gauges", "probes.spectrum.psd_db")
     sites = _sites_in(points)
     if not points or not sites:
-        return _placeholder("no spectrum samples")
+        return svg_placeholder("no spectrum samples")
     series = {}
     for labels, value in points:
         site = labels.get("site")
@@ -144,16 +148,16 @@ def _panel_spectrum(payload):
             continue
     levels = [lv for rows in series.values() for _, _, lv in rows]
     if not levels:
-        return _placeholder("no spectrum samples")
+        return svg_placeholder("no spectrum samples")
     lo, hi = _span(min(levels), max(levels))
     x0, x1 = _MARGIN, _PANEL_W - 14
     y0, y1 = _PANEL_H - _MARGIN, 30.0
     body = [_legend(sorted(series), sites)]
     body.append(_axis(x0, y0, x1, y0))
     body.append(_axis(x0, y0, x0, y1))
-    body.append(_text(18, (y0 + y1) / 2, "dB", size=10))
-    body.append(_text((x0 + x1) / 2, _PANEL_H - 12, "frequency (kHz)",
-                      size=10))
+    body.append(svg_text(18, (y0 + y1) / 2, "dB", size=10))
+    body.append(svg_text((x0 + x1) / 2, _PANEL_H - 12, "frequency (kHz)",
+                         size=10))
     for site in sorted(series):
         rows = sorted(series[site])
         n = max(len(rows) - 1, 1)
@@ -167,17 +171,17 @@ def _panel_spectrum(payload):
                     f'stroke-width="1.6"/>')
     lo_f = min(f for rows in series.values() for _, f, _ in rows)
     hi_f = max(f for rows in series.values() for _, f, _ in rows)
-    body.append(_text(x0, y0 + 14, f"{lo_f:.0f}", size=9, anchor="start"))
-    body.append(_text(x1, y0 + 14, f"{hi_f:.0f}", size=9, anchor="end"))
-    body.append(_text(x0 - 4, y1 + 4, f"{hi:.0f}", size=9, anchor="end"))
-    body.append(_text(x0 - 4, y0, f"{lo:.0f}", size=9, anchor="end"))
-    return _svg("".join(body))
+    body.append(svg_text(x0, y0 + 14, f"{lo_f:.0f}", size=9, anchor="start"))
+    body.append(svg_text(x1, y0 + 14, f"{hi_f:.0f}", size=9, anchor="end"))
+    body.append(svg_text(x0 - 4, y1 + 4, f"{hi:.0f}", size=9, anchor="end"))
+    body.append(svg_text(x0 - 4, y0, f"{lo:.0f}", size=9, anchor="end"))
+    return svg("".join(body))
 
 
 def _panel_latency(payload):
     points = _metric_points(payload, "gauges", "probes.latency.component_ns")
     if not points:
-        return _placeholder("no latency ledger")
+        return svg_placeholder("no latency ledger")
     rows = []
     for labels, value in points:
         try:
@@ -186,7 +190,7 @@ def _panel_latency(payload):
         except (KeyError, TypeError, ValueError):
             continue
     if not rows:
-        return _placeholder("no latency ledger")
+        return svg_placeholder("no latency ledger")
     rows.sort()
     cp = None
     for labels, value in _metric_points(payload, "gauges",
@@ -197,8 +201,8 @@ def _panel_latency(payload):
     x0, x1 = 150.0, _PANEL_W - 18
     bar_h = 20.0
     gap = 9.0
-    body = [_text(_PANEL_W / 2, 16, "cumulative processing delay (ns)",
-                  size=11)]
+    body = [svg_text(_PANEL_W / 2, 16, "cumulative processing delay (ns)",
+                     size=11)]
     cumulative = 0.0
     y = 34.0
     sites_seen = sorted({site for _, _, site, _ in rows})
@@ -211,26 +215,26 @@ def _panel_latency(payload):
                     f'width="{max(end_px - start_px, 1.0):.1f}" '
                     f'height="{bar_h:.1f}" fill="{color}" '
                     f'fill-opacity="0.8"/>')
-        body.append(_text(x0 - 6, y + bar_h - 6, component, size=10,
-                          anchor="end"))
-        body.append(_text(end_px + 4, y + bar_h - 6,
-                          f"{cumulative:.0f}", size=9, anchor="start"))
+        body.append(svg_text(x0 - 6, y + bar_h - 6, component, size=10,
+                             anchor="end"))
+        body.append(svg_text(end_px + 4, y + bar_h - 6,
+                             f"{cumulative:.0f}", size=9, anchor="start"))
         y += bar_h + gap
     if cp is not None:
         cp_px = x0 + (x1 - x0) * cp / scale_max
         body.append(f'<line x1="{cp_px:.1f}" y1="28" x2="{cp_px:.1f}" '
                     f'y2="{y:.1f}" stroke="#dc2626" stroke-width="1.5" '
                     f'stroke-dasharray="5,4"/>')
-        body.append(_text(cp_px, y + 14, f"CP budget {cp:.0f} ns", size=10,
-                          color="#dc2626"))
-    return _svg("".join(body), height=max(_PANEL_H, y + 28))
+        body.append(svg_text(cp_px, y + 14, f"CP budget {cp:.0f} ns",
+                             size=10, color="#dc2626"))
+    return svg("".join(body), height=max(_PANEL_H, y + 28))
 
 
 def _panel_evm(payload):
     points = _metric_points(payload, "gauges", "probes.evm.subcarrier_db")
     sites = _sites_in(points)
     if not points or not sites:
-        return _placeholder("no EVM samples")
+        return svg_placeholder("no EVM samples")
     series = {}
     for labels, value in points:
         try:
@@ -240,7 +244,7 @@ def _panel_evm(payload):
             continue
     levels = [lv for rows in series.values() for _, lv in rows]
     if not levels:
-        return _placeholder("no EVM samples")
+        return svg_placeholder("no EVM samples")
     lo, hi = _span(min(levels), max(levels))
     x0, x1 = _MARGIN, _PANEL_W - 14
     y0, y1 = _PANEL_H - _MARGIN, 30.0
@@ -250,8 +254,8 @@ def _panel_evm(payload):
     body = [_legend(sorted(series), sites)]
     body.append(_axis(x0, y0, x1, y0))
     body.append(_axis(x0, y0, x0, y1))
-    body.append(_text(18, (y0 + y1) / 2, "dB", size=10))
-    body.append(_text((x0 + x1) / 2, _PANEL_H - 12, "subcarrier", size=10))
+    body.append(svg_text(18, (y0 + y1) / 2, "dB", size=10))
+    body.append(svg_text((x0 + x1) / 2, _PANEL_H - 12, "subcarrier", size=10))
     for site in sorted(series):
         rows = sorted(series[site])
         pts = []
@@ -262,11 +266,11 @@ def _panel_evm(payload):
         body.append(f'<polyline points="{" ".join(pts)}" fill="none" '
                     f'stroke="{_site_color(site, sites)}" '
                     f'stroke-width="1.6"/>')
-    body.append(_text(x0, y0 + 14, str(s_lo), size=9, anchor="start"))
-    body.append(_text(x1, y0 + 14, str(s_hi), size=9, anchor="end"))
-    body.append(_text(x0 - 4, y1 + 4, f"{hi:.0f}", size=9, anchor="end"))
-    body.append(_text(x0 - 4, y0, f"{lo:.0f}", size=9, anchor="end"))
-    return _svg("".join(body))
+    body.append(svg_text(x0, y0 + 14, str(s_lo), size=9, anchor="start"))
+    body.append(svg_text(x1, y0 + 14, str(s_hi), size=9, anchor="end"))
+    body.append(svg_text(x0 - 4, y1 + 4, f"{hi:.0f}", size=9, anchor="end"))
+    body.append(svg_text(x0 - 4, y0, f"{lo:.0f}", size=9, anchor="end"))
+    return svg("".join(body))
 
 
 # ---------------------------------------------------------------------------
@@ -307,20 +311,45 @@ def _summary_table(payload):
             f"<tbody>{''.join(rows)}</tbody></table>")
 
 
-_CSS = """
+#: Rules every page shares; a page appends its own through ``css=``.
+_PAGE_CSS = """
 body { font-family: monospace; margin: 24px; color: #0f172a;
        background: #f8fafc; }
-h1 { font-size: 20px; } h2 { font-size: 14px; margin: 4px 0 8px; }
-.grid { display: grid; grid-template-columns: repeat(2, minmax(320px, 1fr));
-        gap: 18px; max-width: 1040px; }
+h1 { font-size: 20px; }
 .panel { background: #ffffff; border: 1px solid #e2e8f0; border-radius: 8px;
          padding: 12px; }
+.meta { color: #64748b; font-size: 12px; }
+"""
+
+_CSS = """
+h2 { font-size: 14px; margin: 4px 0 8px; }
+.grid { display: grid; grid-template-columns: repeat(2, minmax(320px, 1fr));
+        gap: 18px; max-width: 1040px; }
 table { border-collapse: collapse; margin: 12px 0 22px; background: #fff; }
 th, td { border: 1px solid #e2e8f0; padding: 4px 10px; font-size: 12px;
          text-align: right; }
 th { background: #f1f5f9; }
-.meta { color: #64748b; font-size: 12px; }
 """
+
+
+def html_page(title, meta, body, css=""):
+    """A self-contained static page; ``meta`` is text, ``body`` HTML."""
+    return (
+        "<!DOCTYPE html>\n"
+        '<html lang="en"><head><meta charset="utf-8">'
+        f"<title>{html.escape(title)}</title>"
+        f"<style>{_PAGE_CSS}{css}</style></head><body>"
+        f"<h1>{html.escape(title)}</h1>"
+        f'<p class="meta">{html.escape(meta)} · '
+        "static report, no scripts, no external assets</p>"
+        f"{body}</body></html>\n")
+
+
+def write_page(text, path):
+    """Write a rendered page as UTF-8; returns ``path``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
 
 
 def render_html_report(payload, title="FastForward link health",
@@ -342,30 +371,20 @@ def render_html_report(payload, title="FastForward link health",
     )
     sections = "".join(
         f'<div class="panel" id="{pid}"><h2>{html.escape(name)}</h2>'
-        f"{svg}</div>"
-        for pid, name, svg in panels)
-    return (
-        "<!DOCTYPE html>\n"
-        '<html lang="en"><head><meta charset="utf-8">'
-        f"<title>{html.escape(title)}</title>"
-        f"<style>{_CSS}</style></head><body>"
-        f"<h1>{html.escape(title)}</h1>"
-        f'<p class="meta">telemetry origin: {html.escape(str(origin))} · '
-        "static report, no scripts, no external assets</p>"
-        f"{_summary_table(payload)}"
-        f"{''.join(extra_sections)}"
-        f'<div class="grid">{sections}</div>'
-        "</body></html>\n")
+        f"{figure}</div>"
+        for pid, name, figure in panels)
+    return html_page(
+        title, f"telemetry origin: {origin}",
+        f"{_summary_table(payload)}{''.join(extra_sections)}"
+        f'<div class="grid">{sections}</div>', css=_CSS)
 
 
 def write_html_report(payload, path, title="FastForward link health",
                       extra_sections=()):
     """Render and write the report; returns ``path``."""
-    text = render_html_report(payload, title=title,
-                              extra_sections=extra_sections)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return path
+    return write_page(render_html_report(payload, title=title,
+                                         extra_sections=extra_sections),
+                      path)
 
 
 __all__ = ["render_html_report", "write_html_report"]

@@ -119,15 +119,14 @@ SERVICE_SUPERVISOR_POLICY = SupervisorPolicy(
 class ChainEntry:
     """One shared relay chain: relay + fault stage + supervisor."""
 
-    def __init__(self, key, relay, stage, policy=None):
+    def __init__(self, key, relay, stage):
         self.key = key
         self.relay = relay
         self.stage = stage
         self.sample_rate_hz = relay.config.params.bandwidth_hz
         self.supervisor = RelaySupervisor(
             monitor=RelayHealthMonitor(alpha=1.0),
-            policy=policy or SERVICE_SUPERVISOR_POLICY,
-            retune=self._retune)
+            policy=SERVICE_SUPERVISOR_POLICY, retune=self._retune)
         self._storm = None
         self.frames = 0
 
@@ -169,20 +168,11 @@ class ChainPool:
     configuration share one chain — and its cached spectral kernel.
     """
 
-    def __init__(self, params=None, seed=2014, config: RelayConfig = None,
-                 supervisor_policy=None):
-        self.params = params or WIFI_20MHZ
+    def __init__(self, seed=2014):
         self.seed = int(seed)
-        self._base_config = config
-        self._supervisor_policy = supervisor_policy
         self._entries = {}
         self._by_key = {}
         self._default_storm = None
-
-    def _config_for(self, key):
-        if self._base_config is not None:
-            return self._base_config
-        return RelayConfig(params=self.params, use_decomposition=False)
 
     @staticmethod
     def config_hash(key, config):
@@ -207,7 +197,7 @@ class ChainPool:
         """The shared :class:`ChainEntry` for ``key`` (built lazily)."""
         if key in self._by_key:
             return self._by_key[key]
-        config = self._config_for(key)
+        config = RelayConfig(params=WIFI_20MHZ, use_decomposition=False)
         chash = self.config_hash(key, config)
         entry = self._entries.get(chash)
         if entry is None:
@@ -219,8 +209,7 @@ class ChainPool:
                                       self._random_channel(rng, params),
                                       self._random_channel(rng, params))
             stage = InjectedSiStage(label=f"service-si-{key}")
-            entry = ChainEntry(key, relay, stage,
-                               policy=self._supervisor_policy)
+            entry = ChainEntry(key, relay, stage)
             if self._default_storm is not None:
                 entry.attach_storm(self._default_storm)
             self._entries[chash] = entry
@@ -281,7 +270,7 @@ class ServiceScheduler:
     """
 
     def __init__(self, policy: SchedulerPolicy = None, pool=None,
-                 telemetry=None, record_processed_events=True):
+                 telemetry=None):
         self.policy = policy or SchedulerPolicy()
         self.pool = pool if pool is not None else ChainPool()
         self.events = []
@@ -289,7 +278,6 @@ class ServiceScheduler:
         self._tenants = {}
         self._rotation = 0              # persistent DRR round pointer
         self._tel = telemetry
-        self._record_processed = bool(record_processed_events)
         # Global frame accounting.
         self.offered = 0
         self.admitted = 0
@@ -492,8 +480,7 @@ class ServiceScheduler:
         session.processed += 1
         wait_s = float(now_s) - item.arrival_s
         self.queue_wait_s.append(wait_s)
-        if self._record_processed:
-            self._event(now_s, FrameEventKind.PROCESSED, session, item.index)
+        self._event(now_s, FrameEventKind.PROCESSED, session, item.index)
         if tel.enabled:
             tel.counter("service.frames.processed",
                         tenant=session.tenant).inc()

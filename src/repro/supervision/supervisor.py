@@ -125,8 +125,6 @@ class RelaySupervisor:
         (e.g. a :class:`repro.cancellation.tuning.NoiseInjectionTuner`
         pass, or :meth:`repro.faults.impairments.ResidualSiStage.
         retune` in injected-fault tests).  None disables rung 1.
-    on_event:
-        Optional callback invoked with each :class:`SupervisorEvent`.
     telemetry:
         Optional :class:`repro.telemetry.TelemetryCollector`.  Every
         ladder transition increments a ``supervision.transitions``
@@ -137,16 +135,15 @@ class RelaySupervisor:
 
     def __init__(self, monitor: RelayHealthMonitor = None,
                  policy: SupervisorPolicy = None, retune=None,
-                 on_event=None, now_s=0.0, telemetry=None):
+                 telemetry=None):
         self.monitor = monitor or RelayHealthMonitor()
         self.policy = policy or SupervisorPolicy()
         self._retune = retune
-        self._on_event = on_event
         self._telemetry = telemetry
         self.state = SupervisorState.ACTIVE
         self.gain_backoff_db = 0.0
         self.events = []
-        self._now_s = float(now_s)
+        self._now_s = 0.0
         self._retries_used = 0
         self._retry_backoff_s = self.policy.retune_backoff_s
         self._next_retry_s = float("-inf")
@@ -184,8 +181,6 @@ class RelaySupervisor:
             else current_collector()
         if tel.enabled:
             record_transition(tel, event)
-        if self._on_event is not None:
-            self._on_event(event)
         return event
 
     def _reset_retries(self):

@@ -1,7 +1,7 @@
-"""Parallel/cached/resumed/blocked sweeps are bit-identical to serial runs.
+"""Parallel/cached/resumed/chunked sweeps are bit-identical to serial runs.
 
 The contract of :mod:`repro.exec`: shard layout, worker count, cache
-state, checkpoint recovery and the netsim client-block layout
+state, checkpoint recovery and the dispatch chunk size
 (``block_size=``) must never change a published number.
 These tests run each experiment family at a small scale and compare
 every output array bit-for-bit across execution modes.
@@ -10,12 +10,9 @@ every output array bit-for-bit across execution modes.
 import dataclasses
 
 import numpy as np
-import pytest
 
-from repro.exec import task as task_module
+from repro.exec import ResultCache
 from repro.netsim.experiments import (
-    _block_rows,
-    _client_tasks,
     fault_sweep_experiment,
     latency_sweep_experiment,
     overall_gains_experiment,
@@ -136,35 +133,23 @@ class TestCheckpointResume:
         _assert_same_tree(first, again, "fault-resume")
 
 
-class TestClientBlocks:
-    def test_blocked_experiment_bit_identical(self):
-        base = siso_gains_experiment(num_clients=6, seed=3)
-        blocked = siso_gains_experiment(num_clients=6, seed=3,
-                                        block_size=4)
-        for key in ("ap_only", "half_duplex", "fastforward"):
-            assert np.array_equal(base[key], blocked[key])
+class TestChunkLayout:
+    """``block_size=`` only sizes dispatch chunks: one task and one cache
+    entry per client, whatever the layout."""
 
-    def test_block_key_follows_inner_task_version(self, monkeypatch):
-        # A cached block must not outlive a version bump of the per-client
-        # task it runs (e.g. a new CNF solver behind overall-gains).
-        name = "netsim.overall-gains-client"
+    def test_chunked_process_run_matches_serial(self):
+        serial = overall_gains_experiment(num_clients=8, seed=3)
+        chunked = overall_gains_experiment(num_clients=8, seed=3, jobs=2,
+                                           backend="process", block_size=4)
+        _assert_same_tree(serial, chunked, "chunked")
 
-        def first_tasks():
-            layouts = [_client_tasks(name, paper_scenarios()[:1], 4, seed=3,
-                                     stream=100, block_size=size)
-                       for size in (None, 4)]
-            return [tasks[0] for tasks in layouts]
-
-        client, block = first_tasks()
-        keys = [client.cache_key(), block.cache_key()]
-        fn, version = task_module._REGISTRY[name]
-        monkeypatch.setitem(task_module._REGISTRY, name, (fn, version + "+1"))
-        bumped = [task.cache_key() for task in first_tasks()]
-        assert bumped[0] != keys[0]
-        assert bumped[1] != keys[1]
-        with pytest.raises(ValueError, match="version"):
-            block.run()
-
-    def test_block_rows_flattens_preserving_order(self):
-        rows = _block_rows([[1, 2], [3], 4, [5, 6]])
-        assert rows == [1, 2, 3, 4, 5, 6]
+    def test_chunked_run_reuses_per_client_cache(self, tmp_path):
+        serial = overall_gains_experiment(num_clients=8, seed=3,
+                                          cache=ResultCache(tmp_path))
+        cache = ResultCache(tmp_path)
+        chunked = overall_gains_experiment(num_clients=8, seed=3, jobs=2,
+                                           backend="process", block_size=4,
+                                           cache=cache)
+        assert len(serial["fastforward"]) == 8
+        assert (cache.stats.hits, cache.stats.misses) == (8, 0)
+        _assert_same_tree(serial, chunked, "cached")

@@ -63,7 +63,7 @@ def _build(n_sessions, high_water, quantum):
     sched = ServiceScheduler(
         policy=SchedulerPolicy(queue_high_water=high_water,
                                quantum_samples=quantum),
-        pool=_StubPool(), record_processed_events=True)
+        pool=_StubPool())
     sessions = []
     for i in range(n_sessions):
         session = ClientSession(
