@@ -28,9 +28,14 @@ One SVD ``W = U diag(s) Vᴴ`` diagonalises both sides:
 
 and ``lam -> 0`` leaves the min-norm least-squares solution
 ``V (β / s)`` over the non-zero ``s``.  The bounded solve is ``g(lam)``
-at the ``lam`` where ``max|g|`` falls to 1, which
-:func:`repro.dsp.tapped_delay_line.bounded_lstsq` brackets on log grids
-of ``lam`` with no linear solve per candidate.
+at the ``lam`` where ``max|g|`` falls to 1.  The same SVD gives
+``dg/dlam = -V (s β / (s² + lam)²)``, so
+:func:`repro.dsp.tapped_delay_line.bounded_lstsq` finds that ``lam`` by
+a safeguarded Newton iteration on ``ln lam``, each step a few scalar
+sums with no linear solve.  It starts where the dominant singular terms
+alone reach the bound and keeps a bisection bracket; three evaluations
+are typical.  The digital solve needs no such care: its 4 x 4 normal
+equations are well conditioned, so it solves them directly.
 """
 
 from __future__ import annotations
@@ -143,29 +148,38 @@ def _decompose_once(freqs, target, digital_taps, digital_rate_hz,
     digital_basis = np.exp(-2j * np.pi * np.outer(freqs / digital_rate_hz, k))
     total_freq = carrier_hz + freqs
     analog_basis = np.exp(-2j * np.pi * np.outer(total_freq, line.tap_delays_s))
+    weighted_analog = analog_basis * w[:, None]
+    weighted_target = target * w
+
+    def solve_digital(gains):
+        # The digital taps given the analog gains, from the 4x4 normal
+        # equations: the tones span a fifth of the 80 Msps band, so the
+        # weighted basis is well conditioned unless fewer tones than
+        # taps carry weight.
+        response = weighted_analog @ gains
+        weighted = digital_basis * response[:, None]
+        if np.count_nonzero(response) < digital_taps:
+            return np.linalg.lstsq(weighted, weighted_target, rcond=None)[0]
+        adjoint = weighted.conj().T
+        return np.linalg.solve(adjoint @ weighted, adjoint @ weighted_target)
 
     for _ in range(max(1, iterations)):
         # Solve the bounded analog gains given the digital response.
         hp_resp = digital_basis @ h_p
-        g, _ = bounded_lstsq(analog_basis * (hp_resp * w)[:, None],
-                             target * w, 1.0)
+        g, _ = bounded_lstsq(weighted_analog * hp_resp[:, None],
+                             weighted_target, 1.0)
         # Move any headroom into the digital taps so the attenuators
         # operate near the top of their range (best quantisation SNR);
         # the digital solve below takes up the scale.
         peak = np.abs(g).max()
         if 0 < peak < 1.0:
             g = g / peak
-        line.set_gains(g)
-        # Solve the digital taps given the analog response.
-        ha_resp = analog_basis @ line.gains
-        weighted = digital_basis * (ha_resp * w)[:, None]
-        h_p, *_ = np.linalg.lstsq(weighted, target * w, rcond=None)
+        h_p = solve_digital(g)
 
     if quantize:
-        line.set_gains(line.quantize_gains(line.gains))
-        ha_resp = analog_basis @ line.gains
-        weighted = digital_basis * (ha_resp * w)[:, None]
-        h_p, *_ = np.linalg.lstsq(weighted, target * w, rcond=None)
+        g = line.quantize_gains(g)
+        h_p = solve_digital(g)
+    line.set_gains(g)
 
     realised = (digital_basis @ h_p) * (analog_basis @ line.gains)
     target_power = np.mean((np.abs(target) * w) ** 2)

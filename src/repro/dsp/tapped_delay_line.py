@@ -20,6 +20,9 @@ per-subcarrier differences.
 
 from __future__ import annotations
 
+import math
+from operator import mul
+
 import numpy as np
 
 from repro.utils.units import db_to_linear
@@ -189,7 +192,7 @@ class AnalogTapDelayLine:
         solution wants enormous mutually-cancelling gains — which step
         attenuators (gain <= 1) cannot realise.  ``max_gain`` activates
         a ridge-regularised solve (:func:`bounded_lstsq`) whose
-        regulariser is bisected until every tap gain fits the hardware
+        regulariser is raised until every tap gain fits the hardware
         range; this is what a physical tuning loop converges to.
         """
         f = np.atleast_1d(np.asarray(baseband_freqs_hz, dtype=float))
@@ -201,9 +204,10 @@ class AnalogTapDelayLine:
         return bounded_lstsq(basis, d, np.inf if max_gain is None else max_gain)[0]
 
 
-#: The ridge search: 7 rounds of six bisection steps (λ to ~1e-11 relative).
-_RIDGE_GRID = np.linspace(0.0, 1.0, 2 ** 6 + 1)
-_RIDGE_ROUNDS = 7
+#: Resolution of the ridge root-find in ``ln lam``: the returned ``lam``
+#: lies on the feasible side of the crossing and at most this far from it.
+_RIDGE_TOL = 1e-11
+_EPS = np.finfo(float).eps
 
 
 def bounded_lstsq(basis, target, max_gain):
@@ -212,25 +216,105 @@ def bounded_lstsq(basis, target, max_gain):
     One SVD gives the min-norm solution (``lam = 0``, under
     ``np.linalg.lstsq``'s cutoff) and every ridge solution ``g(lam)``
     (derivation in :mod:`repro.core.decomposition`).  When the former
-    breaks the bound, ``lam`` is bisected over [1e-12, 1e6] x the mean
-    ``s²``, six steps per grid, and returned on the feasible side.
+    breaks the bound, :func:`_ridge_root` finds the ``lam`` where
+    ``max|g(lam)|`` falls to ``max_gain`` inside [1e-12, 1e6] x the mean
+    ``s²``, and the gains at that ``lam`` are re-checked against the
+    bound, so they are returned on its feasible side.
     """
+    if not max_gain > 0:
+        raise ValueError(f"max_gain must be positive, got {max_gain!r}")
     u, s, vh = np.linalg.svd(basis, full_matrices=False)
+    v = vh.conj().T
     beta = u.conj().T @ target
-    keep = s > np.finfo(float).eps * max(basis.shape) * s[0]
-    gains = vh.conj().T @ (np.where(keep, beta, 0.0) / np.where(keep, s, 1.0))
+    keep = s > _EPS * max(basis.shape) * s[0]
+    gains = v @ (np.where(keep, beta, 0.0) / np.where(keep, s, 1.0))
     if np.abs(gains).max() <= max_gain:
         return gains, 0.0
-    coef = vh.conj().T * (s * beta)     # g(λ) = coef @ (1 / (s² + λ))
-    s2 = s[:, None] ** 2
-    lo, hi = np.log(np.array([1e-12, 1e6]) * np.sum(s2) / basis.shape[1])
-    for _ in range(_RIDGE_ROUNDS):
-        lams = np.exp(lo + (hi - lo) * _RIDGE_GRID)
-        gains = coef @ (1.0 / (s2 + lams))
-        over = (np.abs(gains) > max_gain).any(axis=0)
-        i, j = 0, lams.size - 1
-        while j - i > 1:
-            mid = (i + j) // 2
-            i, j = (mid, j) if over[mid] else (i, mid)
-        lo, hi = np.log(lams[i]), np.log(lams[j])
-    return gains[:, j], float(lams[j])
+    coef = v * (s * beta)     # g(λ) = coef @ (1 / (s² + λ))
+    s2 = s * s
+    lam = math.exp(_ridge_root(coef.tolist(), s2.tolist(), float(max_gain),
+                               basis.shape[1]))
+    gains = coef @ (1.0 / (s2 + lam))
+    if np.abs(gains).max() > max_gain:
+        # The root-find's scalar sums rounded the other way; one
+        # tolerance step clears it.
+        lam *= 1.0 + _RIDGE_TOL
+        gains = coef @ (1.0 / (s2 + lam))
+    return gains, lam
+
+
+def _ridge_root(rows, s2, max_gain, num_cols):
+    """``ln lam`` where ``max_k |g_k(lam)|`` falls to ``max_gain``.
+
+    ``g_k(lam) = sum_i rows[k][i] / (s2[i] + lam)``.  A safeguarded
+    Newton iteration on ``ln(max|g| / max_gain)`` against ``ln lam``,
+    from the dominant terms' crossing (:func:`_ridge_start`).  ``lo`` and
+    ``hi`` bracket the crossing: the last infeasible and feasible points,
+    first [1e-12, 1e6] x ``sum(s2) / num_cols``.  Each step aims a
+    quarter tolerance past Newton's root towards the feasible side, and
+    bisects the bracket instead when it would leave it.  Returns the
+    feasible end once a step from it is under half the tolerance or the
+    bracket has closed.
+    """
+    scale = sum(s2) / num_cols
+    lo, hi = math.log(1e-12 * scale), math.log(1e6 * scale)
+    t = _ridge_start(rows, s2, max_gain)
+    if not lo < t < hi:
+        t = 0.5 * (lo + hi)
+    ln_max = math.log(max_gain)
+    while hi - lo > _RIDGE_TOL:
+        lam = math.exp(t)
+        d = [1.0 / (x + lam) for x in s2]
+        peak = -1.0
+        for row in rows:
+            g = sum(map(mul, row, d))
+            if abs(g) > peak:
+                peak, g_top, row_top = abs(g), g, row
+        over = math.log(peak) - ln_max
+        # d over / d ln λ of the largest tap, dg/dλ = -Σ c_i / (s_i² + λ)².
+        dg = sum(map(mul, row_top, [x * x for x in d]))
+        slope = -lam * (g_top.conjugate() * dg).real / (peak * peak)
+        if over > 0:
+            lo = t
+        else:
+            hi = t
+            if slope < 0 and over >= 0.5 * _RIDGE_TOL * slope:
+                break
+        # A rising max (slope >= 0) has no Newton root to aim at: bisect.
+        t = t - over / slope + 0.25 * _RIDGE_TOL if slope < 0 else hi
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+    return hi
+
+
+def _ridge_start(rows, s2, max_gain):
+    """``ln lam`` where the dominant singular terms cross the bound.
+
+    For ``lam`` between ``s2[j]`` and the larger ``s2[i < j]``, the terms
+    ``i < j`` sit near their ``lam = 0`` values ``c_i / s2[i]`` and the
+    terms ``i > j`` are small, so ``g_k ≈ a_k + c_kj x`` with
+    ``x = 1 / (s2[j] + lam)``.  With ``z = a_k / c_kj`` that reaches
+    ``max_gain`` at ``x = sqrt(max_gain² / |c_kj|² - Im(z)²) - Re(z)``.
+    Walking ``j`` from the largest term down, the first model whose
+    crossing (the last tap's) lies at ``lam > 0`` gives the start;
+    ``-inf`` when none does.
+    """
+    head = [0j] * len(rows)
+    for j, sj in enumerate(s2):
+        lam = -math.inf
+        for a, row in zip(head, rows):
+            c = row[j]
+            if c:
+                z = a / c
+                r = max_gain / abs(c)
+                disc = r * r - z.imag * z.imag
+                if disc >= 0:
+                    x = math.sqrt(disc) - z.real
+                    if x > 0:
+                        lam = max(lam, 1.0 / x - sj)
+        if lam > 0:
+            return math.log(lam)
+        if sj == 0:
+            break
+        head = [a + row[j] / sj for a, row in zip(head, rows)]
+    return -math.inf

@@ -57,7 +57,7 @@ from repro.exec import chaos as chaos_injection
 from repro.exec.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.exec.manifest import SweepManifest
 from repro.exec.recovery import FailureLedger, RetryPolicy
-from repro.exec.task import resolve_task_fn
+from repro.exec.task import cache_keys, resolve_task_fn
 from repro.telemetry.collector import (
     TelemetryCollector,
     current_collector,
@@ -713,7 +713,7 @@ def run_sweep(tasks, jobs=None, backend=None, cache=None, checkpoint=None,
 
     keys = None
     if cache is not None:
-        keys = [task.cache_key() for task in tasks]
+        keys = cache_keys(tasks)
 
     manifest = None
     if checkpoint is not None:

@@ -27,7 +27,7 @@ from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
 
-from repro.exec.hashing import digest
+from repro.exec.hashing import digest, digests
 
 _REGISTRY: dict = {}
 
@@ -123,9 +123,11 @@ class Task:
 
     def cache_key(self):
         """Content-addressed key: fn identity + version + params + seed."""
+        return digest(self._key_fields())
+
+    def _key_fields(self):
         _, version = resolve_task_fn(self.fn)
-        return digest(["task", self.fn, version,
-                       dict(self.params), self.seed])
+        return ["task", self.fn, version, dict(self.params), self.seed]
 
     def run(self):
         """Execute in the current process (the serial-backend path)."""
@@ -133,3 +135,9 @@ class Task:
         if self.seed is None:
             return fn(**self.params)
         return fn(**self.params, rng=np.random.default_rng(self.seed))
+
+
+def cache_keys(tasks):
+    """Every task's :meth:`Task.cache_key`, canonicalising each parameter
+    object the tasks share once."""
+    return digests([task._key_fields() for task in tasks])

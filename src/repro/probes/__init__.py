@@ -18,17 +18,6 @@ render into the self-contained HTML link-health report
 (:func:`write_html_report`, ``repro report --html``).
 """
 
-from repro.probes.baseline import (
-    BASELINE_VERSION,
-    CANONICAL_CONFIG,
-    DEFAULT_TOLERANCES,
-    DriftReport,
-    DriftVerdict,
-    ProbeBaseline,
-    canonical_summary,
-    compare_to_baseline,
-    metric_tolerance,
-)
 from repro.probes.diagnostics import (
     ALWAYS,
     BUDGET_COMPONENTS,
@@ -86,3 +75,20 @@ __all__ = [
     "render_html_report",
     "write_html_report",
 ]
+
+#: Served from :mod:`repro.probes.baseline` on first use, so that
+#: ``python -m repro.probes.baseline`` runs that module once, as
+#: ``__main__``, and not a second time under its own name.
+_BASELINE_NAMES = frozenset({
+    "BASELINE_VERSION", "CANONICAL_CONFIG", "DEFAULT_TOLERANCES",
+    "DriftReport", "DriftVerdict", "ProbeBaseline", "canonical_summary",
+    "compare_to_baseline", "metric_tolerance",
+})
+
+
+def __getattr__(name):
+    if name in _BASELINE_NAMES:
+        from repro.probes import baseline
+
+        return getattr(baseline, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

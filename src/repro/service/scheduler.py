@@ -2,8 +2,8 @@
 
 The heart of the always-on service.  Three pieces:
 
-* :class:`ChainPool` — shared, memoised relay chains keyed by config
-  hash.  Hundreds of sessions process through a handful of configured
+* :class:`ChainPool` — shared, memoised relay chains, one per chain
+  key.  Hundreds of sessions process through a handful of configured
   :class:`~repro.core.relay.FastForwardRelay` devices, so the cached
   spectral kernels of the streaming runtime amortise across the whole
   tenant population.  Each pool entry carries its own fault stage and
@@ -159,18 +159,18 @@ class ChainEntry:
 
 
 class ChainPool:
-    """Configured relay chains, memoised by config hash.
+    """Configured relay chains, one per key, built on first use.
 
-    ``entry(key)`` builds (once) a relay configured with seeded
-    per-subcarrier channels derived from ``(seed, key)``, wrapped in a
-    :class:`ChainEntry`.  Entries are keyed by the digest of the relay
-    config plus the key, so two callers asking for the same
-    configuration share one chain — and its cached spectral kernel.
+    ``entry(key)`` builds a relay configured with seeded per-subcarrier
+    channels, wrapped in a :class:`ChainEntry`, and returns that same
+    entry for every later request with the key, so all sessions on one
+    key share one chain and its cached spectral kernel.  The channels
+    are seeded from ``seed`` and :meth:`config_hash` of the key and the
+    relay config.
     """
 
     def __init__(self, seed=2014):
         self.seed = int(seed)
-        self._entries = {}
         self._by_key = {}
         self._default_storm = None
 
@@ -195,12 +195,10 @@ class ChainPool:
 
     def entry(self, key="default"):
         """The shared :class:`ChainEntry` for ``key`` (built lazily)."""
-        if key in self._by_key:
-            return self._by_key[key]
-        config = RelayConfig(params=WIFI_20MHZ, use_decomposition=False)
-        chash = self.config_hash(key, config)
-        entry = self._entries.get(chash)
+        entry = self._by_key.get(key)
         if entry is None:
+            config = RelayConfig(params=WIFI_20MHZ, use_decomposition=False)
+            chash = self.config_hash(key, config)
             chan_seed = (self.seed, zlib.crc32(chash.encode("ascii")))
             rng = np.random.default_rng(chan_seed)
             params = config.params
@@ -212,19 +210,18 @@ class ChainPool:
             entry = ChainEntry(key, relay, stage)
             if self._default_storm is not None:
                 entry.attach_storm(self._default_storm)
-            self._entries[chash] = entry
-        self._by_key[key] = entry
+            self._by_key[key] = entry
         return entry
 
     def entries(self):
-        """Every distinct chain built so far (stable order)."""
-        return list(self._entries.values())
+        """Every chain built so far, in build order."""
+        return list(self._by_key.values())
 
     def keys(self):
         return list(self._by_key)
 
     def attach_storm(self, storm):
-        for entry in self._entries.values():
+        for entry in self._by_key.values():
             entry.attach_storm(storm)
         self._default_storm = storm
 

@@ -4,6 +4,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.relay as relay_module
 from repro.core import FastForwardRelay, RelayConfig, decompose_cnf_filter
@@ -192,3 +194,56 @@ class TestAgainstBisectionOracle:
         runs, _ = oracle_corpus
         for (_, pick), (_, pick_ref) in runs:
             assert pick == pick_ref
+
+
+def _ridge_gains(basis, target, lam):
+    """The ridge solution at ``lam``, from its own SVD."""
+    u, s, vh = np.linalg.svd(basis, full_matrices=False)
+    return vh.conj().T @ (s * (u.conj().T @ target) / (s ** 2 + lam))
+
+
+def _bound_is_tight(basis, target):
+    """``bounded_lstsq``'s gains fit |g| <= 1 and are the ridge gains at its
+    ``lam``; 1e-9 below that ``lam`` they do not fit.  False when the
+    min-norm solution fits (``lam`` 0)."""
+    gains, lam = bounded_lstsq(basis, target, 1.0)
+    assert np.abs(gains).max() <= 1.0
+    if lam == 0.0:
+        return False
+    assert np.abs(gains - _ridge_gains(basis, target, lam)).max() <= 1e-10
+    assert np.abs(_ridge_gains(basis, target, lam * (1 - 1e-9))).max() > 1.0
+    return True
+
+
+class TestRidgeRoot:
+    """The Newton root-find stops on the feasible side of max|g(lam)| = 1,
+    within 1e-9 of it, including where the oracle's lam is too inexact to
+    compare (condition > 1e5)."""
+
+    def test_rejects_a_non_positive_bound(self):
+        basis = np.exp(-2j * np.pi * np.outer(np.arange(5) * 1e6,
+                                              np.arange(4) * 100e-12))
+        for max_gain in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError):
+                bounded_lstsq(basis, np.ones(5), max_gain)
+
+    def test_tight_on_the_corpus(self, oracle_corpus):
+        _, problems = oracle_corpus
+        assert all(_bound_is_tight(basis, target) for basis, target in problems)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), taps=st.integers(2, 8),
+           tones=st.integers(5, 56))
+    def test_tight_on_random_lines(self, seed, taps, tones):
+        # A tap line with 100-200 ps gaps, weighted per tone as the
+        # decomposition weights its analog basis.
+        rng = np.random.default_rng(seed)
+        delays = np.concatenate(
+            [[0.0], np.cumsum(rng.uniform(100e-12, 200e-12, taps - 1))])
+        line = AnalogTapDelayLine(delays)
+        freqs = np.sort(rng.uniform(-10e6, 10e6, tones))
+        weights = 10.0 ** rng.uniform(-1.0, 1.0, tones) \
+            * np.exp(2j * np.pi * rng.random(tones))
+        basis = np.exp(-2j * np.pi * np.outer(line.carrier_hz + freqs, delays))
+        target = rng.standard_normal(tones) + 1j * rng.standard_normal(tones)
+        _bound_is_tight(basis * weights[:, None], target * weights)

@@ -14,6 +14,7 @@ from repro.exec import (
     spawn_seeds,
     task_fn,
 )
+from repro.exec.task import cache_keys
 
 
 @task_fn("test.double", version="1")
@@ -140,3 +141,54 @@ class TestSpawnSeeds:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             spawn_seeds(0, -1)
+
+
+class _Captured(Exception):
+    pass
+
+
+def _swept_tasks(module, experiment, **kwargs):
+    """The task list ``experiment`` hands to ``run_sweep``, unrun."""
+    captured = []
+
+    def capture(tasks, **_):
+        captured.extend(tasks)
+        raise _Captured
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "run_sweep", capture)
+        with pytest.raises(_Captured):
+            experiment(**kwargs)
+    return captured
+
+
+class TestCacheKeys:
+    """``run_sweep`` keys a sweep with :func:`cache_keys`, which lowers
+    each shared parameter object once; the keys must stay byte-identical
+    to :meth:`Task.cache_key`, or existing caches would stop hitting."""
+
+    @pytest.mark.parametrize("sweep", ["overall", "siso", "fleet"])
+    def test_keys_equal_task_cache_keys(self, sweep):
+        import repro.fleet.experiment as fleet
+        import repro.netsim.experiments as netsim
+
+        module, experiment, kwargs = {
+            "overall": (netsim, netsim.overall_gains_experiment,
+                        dict(num_clients=12, seed=3)),
+            "siso": (netsim, netsim.siso_gains_experiment,
+                     dict(num_clients=12, seed=3)),
+            "fleet": (fleet, fleet.fleet_experiment,
+                      dict(rows=3, cols=3, clients_per_home=2, seed=3)),
+        }[sweep]
+        tasks = _swept_tasks(module, experiment, **kwargs)
+        assert len(tasks) >= 9
+        assert cache_keys(tasks) == [task.cache_key() for task in tasks]
+
+    def test_shared_and_equal_objects_key_alike(self):
+        cfg = _Cfg(depth=3.0)
+        tasks = [Task("test.double", {"x": cfg}), Task("test.double", {"x": cfg}),
+                 Task("test.double", {"x": _Cfg(depth=3.0)}),
+                 Task("test.double", {"x": _Cfg(depth=4.0)})]
+        keys = cache_keys(tasks)
+        assert keys == [task.cache_key() for task in tasks]
+        assert keys[0] == keys[1] == keys[2] != keys[3]

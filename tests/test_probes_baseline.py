@@ -8,6 +8,9 @@ committed file, and a deliberate residual-SI perturbation trips a
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -143,3 +146,14 @@ class TestCommittedGate:
                               "--fault", "residual-si"]) == 1
         out = capsys.readouterr().out
         assert "[FAIL]" in out and "drift gate: FAIL" in out
+
+    def test_module_runs_once_under_python_m(self):
+        # The package must not import the module `python -m` executes,
+        # or runpy warns and every class in it exists twice.
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "repro.probes.baseline", "--help"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
