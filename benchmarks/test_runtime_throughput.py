@@ -97,7 +97,7 @@ def _overhead_experiment():
     """
     import statistics
 
-    from repro.telemetry import TelemetryCollector
+    from repro.telemetry import TelemetryCollector, use_collector
 
     kernel_cache().clear()
     relay = _make_relay()
@@ -115,10 +115,11 @@ def _overhead_experiment():
             relay.process(x)
         plain_s.append(time.perf_counter() - t0)
 
-        t0 = time.perf_counter()
-        for _ in range(inner):
-            relay.process(x, telemetry=collector)
-        telem_s.append(time.perf_counter() - t0)
+        with use_collector(collector):
+            t0 = time.perf_counter()
+            for _ in range(inner):
+                relay.process(x)
+            telem_s.append(time.perf_counter() - t0)
         ratios.append(telem_s[-1] / plain_s[-1])
 
     return {

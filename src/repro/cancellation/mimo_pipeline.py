@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.cancellation.analog import AnalogCancellationBoard
 from repro.cancellation.digital import CausalDigitalCanceller
-from repro.cancellation.pipeline import bandlimited_gaussian
+from repro.cancellation.pipeline import ConverterFrontEnd, bandlimited_gaussian
 from repro.cancellation.si_channel import SelfInterferenceChannel
 from repro.channel.noise import DEFAULT_NOISE_FLOOR_DBM
 from repro.utils.rng import child_rngs, make_rng
@@ -90,7 +90,7 @@ class MimoCancellationReport:
         return f"MIMO cancellation [{chains}]"
 
 
-class MimoCancellationPipeline:
+class MimoCancellationPipeline(ConverterFrontEnd):
     """Fig. 8's architecture: K*K analog boards + K*K digital filters.
 
     The public surface mirrors the SISO pipeline: construct, `tune()`,
@@ -101,17 +101,11 @@ class MimoCancellationPipeline:
                  signal_bandwidth_hz=20e6, oversample=8,
                  converter_delay_s=50e-9,
                  noise_floor_dbm=DEFAULT_NOISE_FLOOR_DBM, rng=None):
+        super().__init__(signal_bandwidth_hz, oversample, converter_delay_s,
+                         noise_floor_dbm)
         rng = make_rng(rng)
         self.si = si or MimoSelfInterference.typical(k=k, rng=rng)
         self.k = self.si.k
-        self.signal_bandwidth_hz = float(signal_bandwidth_hz)
-        self.oversample = int(oversample)
-        self.sample_rate_hz = self.signal_bandwidth_hz * self.oversample
-        self.occupied_fraction = (52.0 / 64.0) / self.oversample
-        self.converter_delay_s = float(converter_delay_s)
-        self.converter_delay_samples = int(
-            round(self.converter_delay_s * self.sample_rate_hz))
-        self.noise_floor_dbm = float(noise_floor_dbm)
         self.boards = [[AnalogCancellationBoard(
             carrier_hz=self.si.channels[i][j].carrier_hz)
             for j in range(self.k)] for i in range(self.k)]
@@ -119,17 +113,6 @@ class MimoCancellationPipeline:
                          for _ in range(self.k)] for _ in range(self.k)]
         self._rng = rng
         self._tuned = False
-
-    def _rf_to_digital(self, x):
-        d = self.converter_delay_samples
-        if d == 0:
-            return np.asarray(x, dtype=complex)
-        x = np.asarray(x, dtype=complex)
-        return np.concatenate([np.zeros(d, dtype=complex), x[: x.size - d]])
-
-    def _tuning_grid(self, n=65):
-        half = self.occupied_fraction / 2.0 * self.sample_rate_hz
-        return np.linspace(-half, half, n)
 
     def _board_wave(self, tx_streams):
         """Combined analog-board injection per RX chain (digital view)."""
@@ -163,8 +146,6 @@ class MimoCancellationPipeline:
         jointly regressed on every TX chain (block least squares per
         pair, separable because the streams are independent).
         """
-        from repro.cancellation.digital import estimate_si_response_spectral
-
         rng = make_rng(rng if rng is not None else self._rng)
         grid = self._tuning_grid()
 
@@ -178,18 +159,8 @@ class MimoCancellationPipeline:
             rx = self.rx_with_si(tx, rng=rng)
             board_wave = self._board_wave(tx)
             for i in range(self.k):
-                after = rx[i] + board_wave[i]
-                freqs, resp, mask = estimate_si_response_spectral(
-                    probe, after, nfft=512)
-                f_hz = freqs[mask] * self.sample_rate_hz
-                order = np.argsort(f_hz)
-                real = np.interp(grid, f_hz[order], resp[mask][order].real)
-                imag = np.interp(grid, f_hz[order], resp[mask][order].imag)
-                residual_resp = real + 1j * imag
-                ramp = np.exp(-2j * np.pi * grid
-                              * self.converter_delay_samples
-                              / self.sample_rate_hz)
-                si_estimate = residual_resp / ramp \
+                si_estimate = self._rf_response_on_grid(
+                    probe, rx[i] + board_wave[i], grid) \
                     - self.boards[i][j].response(grid)
                 self.boards[i][j].tune(si_estimate, grid)
 

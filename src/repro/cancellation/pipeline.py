@@ -74,7 +74,67 @@ class CancellationReport:
                 f"(residual {self.residual_power_dbm:.1f} dBm)")
 
 
-class CancellationPipeline:
+class ConverterFrontEnd:
+    """The oversampled converter view both cancellation pipelines share.
+
+    Fixes the hardware sample rate, the fraction of it the signal
+    occupies and the DAC + ADC group delay, and maps RF-domain
+    waveforms and responses to and from the digital receive view.
+    """
+
+    def __init__(self, signal_bandwidth_hz, oversample, converter_delay_s,
+                 noise_floor_dbm):
+        if oversample < 1:
+            raise ValueError(f"oversample must be >= 1, got {oversample}")
+        self.signal_bandwidth_hz = float(signal_bandwidth_hz)
+        self.oversample = int(oversample)
+        self.sample_rate_hz = self.signal_bandwidth_hz * self.oversample
+        #: Fraction of the sampled band the signal occupies (52/64 tones).
+        self.occupied_fraction = (52.0 / 64.0) / self.oversample
+        # DAC + ADC group delay: everything that happens at RF appears
+        # in the digital receive view shifted right by this much.  The
+        # bulk delay is what makes the digital-view SI channel causal
+        # with margin — without it the anticausal sinc near-tails of the
+        # sub-sample RF delays would cap causal cancellation ~30 dB
+        # below the analog residual.
+        self.converter_delay_s = float(converter_delay_s)
+        self.converter_delay_samples = int(
+            round(self.converter_delay_s * self.sample_rate_hz))
+        self.noise_floor_dbm = float(noise_floor_dbm)
+
+    def _rf_to_digital(self, x):
+        """Shift an RF-domain waveform into the digital receive view."""
+        d = self.converter_delay_samples
+        if d == 0:
+            return np.asarray(x, dtype=complex)
+        x = np.asarray(x, dtype=complex)
+        return np.concatenate([np.zeros(d, dtype=complex), x[: x.size - d]])
+
+    def _tuning_grid(self, n=65):
+        """In-band frequency grid (Hz) used for analog tuning."""
+        half = self.occupied_fraction / 2.0 * self.sample_rate_hz
+        return np.linspace(-half, half, n)
+
+    def _rf_response_on_grid(self, reference, received, grid):
+        """RF-domain response from ``reference`` to ``received`` on ``grid``.
+
+        The probe-based spectral estimate, interpolated onto the grid.
+        The digital view carries the known converter phase ramp; it is
+        divided out.
+        """
+        freqs, resp, mask = estimate_si_response_spectral(
+            reference, received, nfft=512)
+        f_hz = freqs[mask] * self.sample_rate_hz
+        order = np.argsort(f_hz)
+        f_sorted, h_sorted = f_hz[order], resp[mask][order]
+        real = np.interp(grid, f_sorted, h_sorted.real)
+        imag = np.interp(grid, f_sorted, h_sorted.imag)
+        ramp = np.exp(-2j * np.pi * grid * self.converter_delay_samples
+                      / self.sample_rate_hz)
+        return (real + 1j * imag) / ramp
+
+
+class CancellationPipeline(ConverterFrontEnd):
     """Analog + causal digital cancellation against a given SI channel.
 
     Usage: construct with (or draw) an SI channel, call :meth:`tune`
@@ -96,43 +156,15 @@ class CancellationPipeline:
                  noise_floor_dbm=DEFAULT_NOISE_FLOOR_DBM,
                  digital_taps=CausalDigitalCanceller.DEFAULT_NUM_TAPS,
                  rng=None):
-        if oversample < 1:
-            raise ValueError(f"oversample must be >= 1, got {oversample}")
+        super().__init__(signal_bandwidth_hz, oversample, converter_delay_s,
+                         noise_floor_dbm)
         rng = make_rng(rng)
         self.si_channel = si_channel or SelfInterferenceChannel.typical(rng=rng)
-        self.signal_bandwidth_hz = float(signal_bandwidth_hz)
-        self.oversample = int(oversample)
-        self.sample_rate_hz = self.signal_bandwidth_hz * self.oversample
-        #: Fraction of the sampled band the signal occupies (52/64 tones).
-        self.occupied_fraction = (52.0 / 64.0) / self.oversample
-        # DAC + ADC group delay: everything that happens at RF appears
-        # in the digital receive view shifted right by this much.  The
-        # bulk delay is what makes the digital-view SI channel causal
-        # with margin — without it the anticausal sinc near-tails of the
-        # sub-sample RF delays would cap causal cancellation ~30 dB
-        # below the analog residual.
-        self.converter_delay_s = float(converter_delay_s)
-        self.converter_delay_samples = int(
-            round(self.converter_delay_s * self.sample_rate_hz))
-        self.noise_floor_dbm = float(noise_floor_dbm)
         self.analog = AnalogCancellationBoard(carrier_hz=self.si_channel.carrier_hz)
         self.digital = CausalDigitalCanceller(num_taps=digital_taps)
         self.tuner = NoiseInjectionTuner(sample_rate_hz=self.sample_rate_hz)
         self._rng = rng
         self._tuned = False
-
-    def _rf_to_digital(self, x):
-        """Shift an RF-domain waveform into the digital receive view."""
-        d = self.converter_delay_samples
-        if d == 0:
-            return np.asarray(x, dtype=complex)
-        x = np.asarray(x, dtype=complex)
-        return np.concatenate([np.zeros(d, dtype=complex), x[: x.size - d]])
-
-    def _tuning_grid(self, n=65):
-        """In-band frequency grid (Hz) used for analog tuning."""
-        half = self.occupied_fraction / 2.0 * self.sample_rate_hz
-        return np.linspace(-half, half, n)
 
     def make_traffic(self, num_samples, power_dbm, rng=None):
         """Relayed-traffic stand-in: band-limited Gaussian at power."""
@@ -165,17 +197,6 @@ class CancellationPipeline:
                 raise ValueError("external signal must match the TX length")
             out = out + ext
         return out
-
-    def _estimate_response_on_grid(self, reference, received, grid):
-        """Probe-based spectral estimate interpolated onto the grid."""
-        freqs, resp, mask = estimate_si_response_spectral(
-            reference, received, nfft=512)
-        f_hz = freqs[mask] * self.sample_rate_hz
-        order = np.argsort(f_hz)
-        f_sorted, h_sorted = f_hz[order], resp[mask][order]
-        real = np.interp(grid, f_sorted, h_sorted.real)
-        imag = np.interp(grid, f_sorted, h_sorted.imag)
-        return real + 1j * imag
 
     def tune(self, tx_power_dbm=20.0, training_samples=131072, iterations=4,
              online=False, rng=None):
@@ -212,14 +233,10 @@ class CancellationPipeline:
             rx = self.rx_with_si(tx, rng=rng)
             after_analog = rx + self._rf_to_digital(
                 self.analog.apply(tx, self.sample_rate_hz))
-            residual_resp = self._estimate_response_on_grid(
-                probe, after_analog, grid)
-            # The digital view carries the known converter phase ramp;
-            # divide it out to recover the RF-domain residual, which is
-            # (H_si + H_board): retarget the board at the implied SI.
-            ramp = np.exp(-2j * np.pi * grid * self.converter_delay_samples
-                          / self.sample_rate_hz)
-            rf_residual = residual_resp / ramp
+            # The RF-domain residual is (H_si + H_board): retarget the
+            # board at the implied SI.
+            rf_residual = self._rf_response_on_grid(probe, after_analog,
+                                                    grid)
             si_estimate = rf_residual - self.analog.response(grid)
             self.analog.tune(si_estimate, grid)
             if not online:

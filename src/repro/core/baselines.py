@@ -12,6 +12,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from repro.core.relay import FastForwardRelay, RelayConfig
@@ -23,15 +25,13 @@ class AmplifyForwardRelay(FastForwardRelay):
     Implemented as a configuration of the same device — `use_cnf` off
     (F = identity) and the §3.5 noise rule off ("simply amplify the
     received signal to the maximum extent, i.e. as much as the amount of
-    cancellation").
+    cancellation").  The caller's ``config`` is copied, not changed.
     """
 
     def __init__(self, config: RelayConfig = None):
-        config = config or RelayConfig()
-        config.use_cnf = False
-        config.noise_safe = False
-        config.use_decomposition = False
-        super().__init__(config)
+        super().__init__(dataclasses.replace(
+            config or RelayConfig(), use_cnf=False, noise_safe=False,
+            use_decomposition=False))
 
 
 def half_duplex_throughput_mbps(direct_rate_mbps, first_hop_rate_mbps,

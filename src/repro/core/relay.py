@@ -594,8 +594,7 @@ class FastForwardRelay:
                 max(residual) if residual else None)
 
     def process(self, iq_stream, sample_rate_hz=None, cfo_hz=0.0, *,
-                trace=None, faults=None, supervisor=None, telemetry=None,
-                probes=None):
+                trace=None, faults=None, supervisor=None, probes=None):
         """Produce the relay's transmit waveform for a received stream.
 
         The configured link fixes the input shape: a SISO relay takes a
@@ -639,14 +638,13 @@ class FastForwardRelay:
         remedy — gain backoff or half-duplex muting.  Without a
         supervisor, non-finite *input* raises ``ValueError``.
 
-        ``telemetry`` optionally names the
-        :class:`repro.telemetry.TelemetryCollector` to record into;
-        by default the ambient collector is used, which is the
-        zero-cost null collector unless one is installed.  When a live
-        collector is in effect and no explicit ``trace`` was given, a
-        telemetry-fed :class:`~repro.runtime.chain.ChainTrace` is
-        created so per-stage counters and wall-time histograms flow
-        without the caller wiring anything.
+        Telemetry goes to the ambient collector
+        (:func:`repro.telemetry.current_collector`), the zero-cost null
+        collector unless one is installed.  When a live collector is in
+        effect and no explicit ``trace`` was given, a telemetry-fed
+        :class:`~repro.runtime.chain.ChainTrace` is created so
+        per-stage counters and wall-time histograms flow without the
+        caller wiring anything.
 
         ``probes`` optionally attaches a
         :class:`repro.probes.ProbeSet`: transparent IQ taps are spliced
@@ -654,12 +652,12 @@ class FastForwardRelay:
         input — i.e. after the fault stages, which model receive-side
         impairments — ``post-cnf`` and ``post-amplification`` after the
         matching stages), and the set's ``probes.*`` aggregates are
-        published to the telemetry collector after the run.  MIMO
+        published to the ambient collector after the run.  MIMO
         blocks are probed on stream 0.
         """
         mode = self._sample_mode()
         sample_rate_hz = sample_rate_hz or self.config.params.bandwidth_hz
-        tel = telemetry if telemetry is not None else current_collector()
+        tel = current_collector()
         if tel.enabled and trace is None:
             trace = self._auto_trace(tel)
         x = self._admit_stream(self._coerce_stream(iq_stream), supervisor)
@@ -677,5 +675,5 @@ class FastForwardRelay:
                     residual_si_db=residual_si_db)
         tel.counter("relay.samples", mode=mode).inc(int(n))
         if probes is not None:
-            probes.publish(tel)
+            probes.publish()
         return y

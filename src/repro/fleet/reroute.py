@@ -46,7 +46,11 @@ from repro.supervision.supervisor import (
     SupervisorState,
     record_transition,
 )
-from repro.telemetry.collector import NullCollector, current_collector
+from repro.telemetry.collector import (
+    NullCollector,
+    current_collector,
+    use_collector,
+)
 
 #: Timelines one process keeps (least recently used evicted first).  A
 #: sweep's cells run in relay order and each needs its own relay and
@@ -183,14 +187,15 @@ def relay_outage_timeline(seed, num_steps, storm: RelayFaultStorm,
     memoised (least recently used of :data:`TIMELINE_MEMO_SIZE`, cleared
     by :func:`clear_timeline_memo`), so a repeat call returns the same
     object, whose ``relaying`` is read-only.  The run itself reports to
-    no collector; every call, hit or miss, replays the event log's
+    a null collector; every call, hit or miss, replays the event log's
     ``supervision.*`` transitions into the ambient collector, so
     telemetry reads as if the supervisor had run each time.
     """
     if isinstance(storm, dict):
         storm = RelayFaultStorm(**storm)
-    timeline = _supervised_timeline(int(seed), int(num_steps), storm,
-                                    float(step_s))
+    with use_collector(NullCollector()):
+        timeline = _supervised_timeline(int(seed), int(num_steps), storm,
+                                        float(step_s))
     tel = current_collector()
     if tel.enabled:
         for event in timeline.events:
@@ -230,8 +235,7 @@ def _supervised_timeline(seed, num_steps, storm, step_s):
         escalation_hold_s=0.5 * step_s, recovery_hold_s=1.2 * step_s,
         fallback_sounding_age_s=0.5)
     supervisor = RelaySupervisor(monitor=RelayHealthMonitor(alpha=1.0),
-                                 policy=policy, retune=attempt_retune,
-                                 telemetry=NullCollector())
+                                 policy=policy, retune=attempt_retune)
 
     relaying = np.zeros(num_steps, dtype=bool)
     age_steps = 0

@@ -92,7 +92,14 @@ class ChannelFingerprinter:
         """
         if not self._database:
             raise RuntimeError("no clients enrolled")
-        measured = self._measure(received_stf_period)
+        return self.match(self._measure(received_stf_period))
+
+    def match(self, measured):
+        """Name the transmitter of measured STF tone amplitudes.
+
+        The matching half of :meth:`identify`, for a caller that
+        already holds the per-tone measurement.
+        """
         norm_m = np.linalg.norm(measured)
         distances = {}
         for client_id in self._database:

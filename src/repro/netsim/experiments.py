@@ -620,7 +620,7 @@ def fingerprint_experiment(num_locations=100, num_clients=4,
                 measured = measured + noise_std / np.sqrt(2.0) * (
                     rng.standard_normal(expected.shape)
                     + 1j * rng.standard_normal(expected.shape))
-                decision = _identify_from_measurement(finger, measured)
+                decision = finger.match(measured).client_id
                 total += 1
                 if decision is None:
                     false_neg += 1
@@ -912,21 +912,3 @@ def fault_sweep_experiment(fault_rates=(0.0, 0.1, 0.2, 0.4), num_clients=5,
         "num_steps": num_steps,
         "seed": seed,
     }
-
-
-def _identify_from_measurement(finger, measured):
-    """Identify from a pre-computed tone measurement (test shortcut)."""
-    best_id, best_d = None, np.inf
-    norm_m = np.linalg.norm(measured)
-    for client_id in finger._database:
-        expected = finger.expected_measurement(client_id)
-        norm_e = np.linalg.norm(expected)
-        if norm_m == 0 or norm_e == 0:
-            continue
-        alpha = np.vdot(expected, measured) / (norm_e ** 2)
-        d = np.linalg.norm(measured - alpha * expected) / norm_m
-        if d < best_d:
-            best_id, best_d = client_id, d
-    if best_d > finger.threshold:
-        return None
-    return best_id

@@ -14,14 +14,16 @@ and stale alerts.
 Everything here is driven by virtual time and deterministic series, so
 the alert stream for a fixed seed is bit-identical run to run (gated
 in ``bench_obs.py``).  Alerts are typed (:class:`SloAlert`), mirrored
-into telemetry as ``obs.slo.*`` counters plus structured events, and
-surfaced in ``status.json`` / the link-health HTML by the service
-layer.
+into the ambient collector as ``obs.slo.*`` counters plus structured
+events, and surfaced in ``status.json`` / the link-health HTML by the
+service layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from repro.telemetry.collector import current_collector
 
 
 @dataclass(frozen=True)
@@ -156,12 +158,11 @@ def default_service_slos(latency_target_s=0.05, shed_budget=0.05,
 class SloEngine:
     """Evaluates SLO specs against a series recorder, tracks alerts."""
 
-    def __init__(self, specs, telemetry=None):
+    def __init__(self, specs):
         self.specs = tuple(specs)
         names = [spec.name for spec in self.specs]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate SLO names: {names}")
-        self.telemetry = telemetry
         self.alerts = []              # full typed transition stream
         self._active = {}             # (slo, long_s, short_s) -> bool
         self._last = {}               # spec name -> evaluation dict
@@ -216,8 +217,8 @@ class SloEngine:
         return transitions
 
     def _emit(self, alert):
-        tel = self.telemetry
-        if tel is None or not getattr(tel, "enabled", False):
+        tel = current_collector()
+        if not tel.enabled:
             return
         tel.counter("obs.slo.alerts", slo=alert.slo,
                     severity=alert.severity, kind=alert.kind).inc()

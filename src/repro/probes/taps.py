@@ -153,7 +153,7 @@ class ProbeSet:
     Construct once per observed device (``reference`` enables the EVM
     probe), hand it to ``relay.process(..., probes=probe_set)`` — or
     instrument any chain directly — then read :meth:`summary` or let
-    :meth:`publish` push ``probes.*`` metrics into a telemetry
+    :meth:`publish` push ``probes.*`` metrics into the ambient
     collector.
     """
 
@@ -247,8 +247,8 @@ class ProbeSet:
             tel.counter(name, **labels).inc(int(current - last))
             self._published_counts[key] = current
 
-    def publish(self, collector=None):
-        """Push ``probes.*`` metrics into ``collector`` (or the ambient).
+    def publish(self):
+        """Push ``probes.*`` metrics into the ambient collector.
 
         Gauges carry the current aggregates (quantised), counters the
         monotonic analysed-work totals, one histogram the per-window
@@ -256,7 +256,7 @@ class ProbeSet:
         decimated equalised scatter — everything the HTML link-health
         report renders.
         """
-        tel = collector if collector is not None else current_collector()
+        tel = current_collector()
         if not tel.enabled:
             return
         for site in sorted(self._sites):

@@ -251,7 +251,6 @@ class Chain(Stage):
             raise ValueError("a chain needs at least one stage")
         self.stages = stages
         self.name = name
-        self.trace = None
         labels, seen = [], {}
         for stage in stages:
             base = stage.name
@@ -273,7 +272,6 @@ class Chain(Stage):
 
     def process_block(self, x, trace=None):
         """Push one block through every stage in order."""
-        trace = trace if trace is not None else self.trace
         x = np.asarray(x, dtype=complex)
         for stage, label in zip(self.stages, self.labels):
             x = self._timed(trace, label, stage.process_block, x)
@@ -281,7 +279,6 @@ class Chain(Stage):
 
     def flush(self, trace=None):
         """Flush each stage, cascading its tail through the rest."""
-        trace = trace if trace is not None else self.trace
         carry = None
         for stage, label in zip(self.stages, self.labels):
             parts = []

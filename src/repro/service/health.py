@@ -29,7 +29,7 @@ import numpy as np
 from repro.probes import ProbeSet, make_reference_frame
 from repro.probes.html_report import write_html_report
 from repro.service.session import SessionState
-from repro.telemetry import percentiles
+from repro.telemetry import current_collector, percentiles
 from repro.utils.atomic import atomic_replace
 
 
@@ -56,17 +56,22 @@ class ServiceStatus:
     slo: dict = None
 
     @classmethod
-    def capture(cls, scheduler, now_s, telemetry=None, slo_engine=None):
-        """Snapshot ``scheduler`` (and its chain pool) at ``now_s``."""
+    def capture(cls, scheduler, now_s, slo_engine=None):
+        """Snapshot ``scheduler`` (and its chain pool) at ``now_s``.
+
+        The process-latency block comes from the ambient collector's
+        ``service.latency.process_ns`` histogram; with no collector
+        installed it is left out.
+        """
         by_state = {state.value: 0 for state in SessionState}
         for session in scheduler.sessions.values():
             by_state[session.state.value] += 1
         queues = {name: scheduler.queue_depth(name)
                   for name in scheduler.tenant_names()}
         latency = {"queue": latency_summary(scheduler.queue_wait_s)}
-        if telemetry is not None:
-            hist = telemetry.histogram("service.latency.process_ns",
-                                       unit="ns")
+        tel = current_collector()
+        if tel.enabled:
+            hist = tel.histogram("service.latency.process_ns", unit="ns")
             if hist.count:
                 latency["process"] = {
                     "count": int(hist.count),
@@ -103,7 +108,7 @@ class ServiceStatus:
         return out
 
 
-def refresh_probes(pool, telemetry=None, n_symbols=8, seed=1905):
+def refresh_probes(pool, n_symbols=8, seed=1905):
     """Run a probed reference frame through every chain in ``pool``.
 
     Keeps the ``probes.*`` link-health family (EVM, SNR, per-stage
@@ -118,7 +123,7 @@ def refresh_probes(pool, telemetry=None, n_symbols=8, seed=1905):
                                          rng=rng)
         probes = ProbeSet(params, reference=reference)
         entry.relay.process(reference.iq, faults=[entry.stage],
-                            telemetry=telemetry, probes=probes)
+                            probes=probes)
         probed += 1
     return probed
 
@@ -200,20 +205,25 @@ class StatusWriter:
     def series_path(self):
         return os.path.join(self.status_dir, "series.jsonl")
 
-    def write(self, status: ServiceStatus, telemetry=None, series=None):
-        """Write one snapshot; each file lands atomically."""
+    def write(self, status: ServiceStatus, series=None):
+        """Write one snapshot; each file lands atomically.
+
+        ``link_health.html`` renders the ambient collector's payload,
+        so it is written only while a collector is installed.
+        """
         with atomic_replace(self.status_path) as tmp, \
                 open(tmp, "w", encoding="utf-8") as handle:
             handle.write(json.dumps(status.as_dict(), indent=2,
                                     sort_keys=True) + "\n")
-        if telemetry is not None:
+        tel = current_collector()
+        if tel.enabled:
             extra = []
             if status.slo is not None:
                 section = slo_html_section(status.slo)
                 if section:
                     extra.append(section)
             with atomic_replace(self.report_path) as tmp:
-                write_html_report(telemetry.payload(), tmp,
+                write_html_report(tel.payload(), tmp,
                                   title="FastForward relay service",
                                   extra_sections=extra)
         if series is not None:

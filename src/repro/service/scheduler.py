@@ -262,19 +262,17 @@ class ServiceScheduler:
     The scheduler is deterministic and synchronous: :meth:`offer` and
     :meth:`dispatch` are driven either by the virtual-time load-test
     engine (bit-reproducible event logs) or by the asyncio service's
-    wall-clock pump.  Telemetry flows to the ambient collector (or an
-    explicit one) as the ``service.*`` metric family.
+    wall-clock pump.  Telemetry flows to the ambient collector as the
+    ``service.*`` metric family.
     """
 
-    def __init__(self, policy: SchedulerPolicy = None, pool=None,
-                 telemetry=None):
+    def __init__(self, policy: SchedulerPolicy = None, pool=None):
         self.policy = policy or SchedulerPolicy()
         self.pool = pool if pool is not None else ChainPool()
         self.events = []
         self.sessions = {}
         self._tenants = {}
         self._rotation = 0              # persistent DRR round pointer
-        self._tel = telemetry
         # Global frame accounting.
         self.offered = 0
         self.admitted = 0
@@ -286,9 +284,6 @@ class ServiceScheduler:
         self.queue_wait_s = []
 
     # -- plumbing ----------------------------------------------------------
-
-    def _telemetry(self):
-        return self._tel if self._tel is not None else current_collector()
 
     def tenant(self, name, weight=1.0):
         """Register (or fetch) a tenant queue."""
@@ -328,7 +323,7 @@ class ServiceScheduler:
         if session.session_id in self.sessions:
             raise ValueError(f"duplicate session {session.session_id!r}")
         self.sessions[session.session_id] = session
-        tel = self._telemetry()
+        tel = current_collector()
         if self.active_sessions >= self.policy.max_sessions:
             session.reject(now_s, "at-capacity")
             self.rejected_sessions += 1
@@ -351,7 +346,7 @@ class ServiceScheduler:
 
     def close_session(self, session, now_s):
         session.close(now_s)
-        tel = self._telemetry()
+        tel = current_collector()
         if tel.enabled:
             tel.counter("service.sessions.closed",
                         tenant=session.tenant).inc()
@@ -363,7 +358,7 @@ class ServiceScheduler:
         """One frame arrives; admit, shed (queue full) or reject it."""
         self.offered += 1
         session.offered += 1
-        tel = self._telemetry()
+        tel = current_collector()
         if session.state not in (SessionState.ACTIVE,):
             self.rejected_frames += 1
             session.rejected_frames += 1
@@ -396,7 +391,7 @@ class ServiceScheduler:
         session.shed += 1
         detail = {"reason": reason}
         self._event(now_s, FrameEventKind.SHED, session, index, detail)
-        tel = self._telemetry()
+        tel = current_collector()
         if tel.enabled:
             tel.counter("service.frames.shed", tenant=session.tenant,
                         reason=reason).inc()
@@ -453,7 +448,7 @@ class ServiceScheduler:
 
     def _serve(self, item, now_s):
         session = item.session
-        tel = self._telemetry()
+        tel = current_collector()
         entry = self.pool.entry(session.chain_key)
         entry.advance(now_s)
         if not entry.relaying:

@@ -62,17 +62,14 @@ class ServicePump:
     """Deterministic tick-driven service core (see module docstring)."""
 
     def __init__(self, scheduler: ServiceScheduler, sessions, storm=None,
-                 config: PumpConfig = None, status_writer: StatusWriter = None,
-                 telemetry=None, series=None, slo_engine=None):
+                 config: PumpConfig = None, status_writer: StatusWriter = None):
         self.scheduler = scheduler
         self.sessions = list(sessions)
         self.config = config or PumpConfig()
         self.status_writer = status_writer
-        self.telemetry = telemetry
-        #: Rolling virtual-time series + burn-rate SLOs (both optional;
-        #: ``build_service`` always wires them).
-        self.series = series
-        self.slo_engine = slo_engine
+        #: Rolling virtual-time series + the stock burn-rate SLOs.
+        self.series = SeriesRecorder()
+        self.slo_engine = SloEngine(default_service_slos())
         self.now_s = 0.0
         self.ticks = 0
         self._last_status_s = None
@@ -136,8 +133,6 @@ class ServicePump:
         deterministic scheduler state — never from wall clocks — so
         same-seed runs produce bit-identical series and alert streams.
         """
-        if self.series is None:
-            return
         from repro.telemetry import percentiles
 
         sched = self.scheduler
@@ -160,15 +155,14 @@ class ServicePump:
         self.series.sample("service.chain_availability", now_s, availability)
         self.series.sample("service.queue_depth", now_s,
                            sched.queue_depth())
-        if self.slo_engine is not None:
-            self.slo_engine.evaluate(self.series, now_s)
+        self.slo_engine.evaluate(self.series, now_s)
 
     def _maybe_observe(self, now_s):
         cfg = self.config
         if (cfg.probe_interval_s is not None
                 and (self._last_probe_s is None
                      or now_s - self._last_probe_s >= cfg.probe_interval_s)):
-            refresh_probes(self.scheduler.pool, telemetry=self.telemetry)
+            refresh_probes(self.scheduler.pool)
             self._last_probe_s = now_s
         if (self.status_writer is not None
                 and cfg.status_interval_s is not None
@@ -185,10 +179,8 @@ class ServicePump:
         status = ServiceStatus.capture(self.scheduler,
                                        self.now_s if now_s is None
                                        else now_s,
-                                       telemetry=self.telemetry,
                                        slo_engine=self.slo_engine)
-        return self.status_writer.write(status, telemetry=self.telemetry,
-                                        series=self.series)
+        return self.status_writer.write(status, series=self.series)
 
     # -- drive to completion ------------------------------------------------
 
@@ -214,7 +206,7 @@ class ServicePump:
         sched.dispatch(now_s, max_frames=None)
         sched.flush(now_s, reason="drain")
         self._sample_series(now_s)
-        refresh_probes(sched.pool, telemetry=self.telemetry)
+        refresh_probes(sched.pool)
         self.write_status(now_s)
         for session in self.sessions:
             if session.state in (SessionState.SOUNDING, SessionState.ACTIVE,
@@ -290,17 +282,16 @@ class ServeConfig:
     storm_duration_s: float = 0.3
 
 
-def build_service(config: ServeConfig, status_dir=None, telemetry=None,
-                  slos=None):
-    """Construct (pump, telemetry) from a :class:`ServeConfig`.
+def build_service(config: ServeConfig, status_dir=None):
+    """Construct (pump, collector) from a :class:`ServeConfig`.
 
-    ``slos`` overrides the stock SLO specs
-    (:func:`repro.obs.slo.default_service_slos`); every service gets a
-    series recorder and a burn-rate engine — their state lands in
-    ``status.json`` and the link-health page whenever a status dir is
-    configured.
+    The pump records into whatever collector is ambient while it runs;
+    install the returned one (``with use_collector(tel):``) to capture
+    the service's telemetry, as :func:`run_once` and ``repro serve`` do.
+    The pump's series and SLO state land in ``status.json`` and the
+    link-health page whenever a status dir is configured.
     """
-    tel = telemetry or TelemetryCollector(origin="service")
+    tel = TelemetryCollector(origin="service")
     tenants = tuple(f"tenant-{i}" for i in range(config.tenants))
     chain_keys = tuple(f"chain-{i}" for i in range(config.chains))
     traffic = TrafficConfig(rate_fps=config.rate_fps,
@@ -313,7 +304,7 @@ def build_service(config: ServeConfig, status_dir=None, telemetry=None,
     policy = SchedulerPolicy(queue_high_water=config.queue_high_water,
                              quantum_samples=config.quantum_samples,
                              max_sessions=config.max_sessions)
-    scheduler = ServiceScheduler(policy=policy, pool=pool, telemetry=tel)
+    scheduler = ServiceScheduler(policy=policy, pool=pool)
     storm = None
     if config.storm_rate_per_s > 0:
         # Windows only matter while traffic flows; pad one storm
@@ -329,24 +320,20 @@ def build_service(config: ServeConfig, status_dir=None, telemetry=None,
                              capacity_per_tick=config.capacity_per_tick,
                              status_interval_s=config.status_interval_s,
                              probe_interval_s=config.probe_interval_s)
-    series = SeriesRecorder()
-    engine = SloEngine(slos if slos is not None else default_service_slos(),
-                       telemetry=tel)
     pump = ServicePump(scheduler, sessions, storm=storm, config=pump_config,
-                       status_writer=writer, telemetry=tel,
-                       series=series, slo_engine=engine)
+                       status_writer=writer)
     return pump, tel
 
 
-def run_once(config: ServeConfig = None, status_dir=None, telemetry=None):
+def run_once(config: ServeConfig = None, status_dir=None):
     """Build a service and run it to completion in virtual time.
 
-    The ``repro serve --once`` smoke mode and the load-test harness
-    both come through here; the returned pump's scheduler holds the
-    typed event logs and the conservation ledger.
+    The load-test harness comes through here; the returned pump's
+    scheduler holds the typed event logs and the conservation ledger,
+    and the returned collector everything it recorded.
     """
     pump, tel = build_service(config or ServeConfig(),
-                              status_dir=status_dir, telemetry=telemetry)
+                              status_dir=status_dir)
     with use_collector(tel):
         pump.run()
     return pump, tel

@@ -125,21 +125,18 @@ class RelaySupervisor:
         (e.g. a :class:`repro.cancellation.tuning.NoiseInjectionTuner`
         pass, or :meth:`repro.faults.impairments.ResidualSiStage.
         retune` in injected-fault tests).  None disables rung 1.
-    telemetry:
-        Optional :class:`repro.telemetry.TelemetryCollector`.  Every
-        ladder transition increments a ``supervision.transitions``
-        counter labelled by event kind and appends a structured
-        telemetry event mirroring the typed log.  Defaults to the
-        ambient collector (a zero-cost no-op unless one is installed).
+
+    Every ladder transition increments a ``supervision.transitions``
+    counter labelled by event kind in the ambient collector and appends
+    a structured telemetry event mirroring the typed log (a zero-cost
+    no-op unless a collector is installed).
     """
 
     def __init__(self, monitor: RelayHealthMonitor = None,
-                 policy: SupervisorPolicy = None, retune=None,
-                 telemetry=None):
+                 policy: SupervisorPolicy = None, retune=None):
         self.monitor = monitor or RelayHealthMonitor()
         self.policy = policy or SupervisorPolicy()
         self._retune = retune
-        self._telemetry = telemetry
         self.state = SupervisorState.ACTIVE
         self.gain_backoff_db = 0.0
         self.events = []
@@ -177,8 +174,7 @@ class RelaySupervisor:
         event = SupervisorEvent(time_s=self._now_s, kind=kind,
                                 state=self.state, detail=detail or {})
         self.events.append(event)
-        tel = self._telemetry if self._telemetry is not None \
-            else current_collector()
+        tel = current_collector()
         if tel.enabled:
             record_transition(tel, event)
         return event

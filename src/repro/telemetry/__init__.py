@@ -21,9 +21,12 @@ One subsystem for every measurement the repo makes:
   Chrome trace-event JSON (:mod:`repro.telemetry.export`), with schema
   validators in :mod:`repro.telemetry.validate`.
 
-Instrumented entry points: ``relay.process(..., telemetry=tel)``,
-``exec.run_sweep`` (per-shard collectors), the supervision ladder, the
-netsim experiment runners, and the ``repro report`` CLI subcommand.
+Instrumented code finds its collector only through
+``current_collector()``: install one with ``use_collector(tel)`` (a
+``with`` block) or ``set_collector(tel)`` (process-wide) and
+``relay.process``, ``exec.run_sweep`` (per-shard collectors), the
+supervision ladder, the service, the netsim experiment runners and the
+``repro report`` CLI subcommand record into it.
 """
 
 from repro.telemetry.collector import (

@@ -7,6 +7,7 @@ from repro.core import (
     AmplifyForwardRelay,
     FastForwardRelay,
     HalfDuplexMeshRouter,
+    RelayConfig,
     half_duplex_throughput_mbps,
 )
 from repro.utils import make_rng
@@ -38,6 +39,16 @@ class TestAmplifyForward:
             10 * np.log10(np.abs(strong) ** 2 * 100.0 / 1e-9))
         with_af = effective_snr_db(af.destination_snr_db())
         assert with_af < direct_snr - 3.0
+
+    def test_leaves_the_callers_config_alone(self):
+        config = RelayConfig(cancellation_db=100.0)
+        af = AmplifyForwardRelay(config)
+        assert (config.use_cnf, config.noise_safe,
+                config.use_decomposition) == (True, True, True)
+        assert af.config is not config
+        assert af.config.cancellation_db == 100.0
+        ff = FastForwardRelay(config)
+        assert ff.config.use_cnf and ff.config.noise_safe
 
     def test_is_a_fastforward_subclass(self):
         assert issubclass(AmplifyForwardRelay, FastForwardRelay)

@@ -78,6 +78,16 @@ class TestIdentification:
         decision = finger.identify(_stf_through_channel(channels[0]))
         assert decision.distance <= decision.runner_up_distance
 
+    def test_identify_is_match_on_measured_tones(self):
+        rng = make_rng(6)
+        finger, channels = _enrolled(rng)
+        stranger = rng.standard_normal(56) + 1j * rng.standard_normal(56)
+        for h in [*channels.values(), stranger]:
+            noisy = h + 0.3 * (rng.standard_normal(56)
+                               + 1j * rng.standard_normal(56))
+            stf = _stf_through_channel(noisy)
+            assert finger.identify(stf) == finger.match(finger._measure(stf))
+
 
 def _stf_through_channel(h_used):
     """One STF period transformed by a per-tone channel."""

@@ -183,13 +183,14 @@ class TestSloEngine:
         assert status["specs"][0]["name"] == "lat"
 
     def test_alerts_mirrored_into_telemetry(self):
-        from repro.telemetry import TelemetryCollector
+        from repro.telemetry import TelemetryCollector, use_collector
 
         tel = TelemetryCollector()
         rec = SeriesRecorder()
-        engine = SloEngine([_spec()], telemetry=tel)
+        engine = SloEngine([_spec()])
         _feed(rec, 0.0, [5.0] * 10)
-        engine.evaluate(rec, 0.9)
+        with use_collector(tel):
+            engine.evaluate(rec, 0.9)
         values = tel.metrics.counter_values("obs.slo.alerts")
         assert sum(values.values()) == 1
         assert [e["name"] for e in tel.events] == ["obs.slo.alert"]

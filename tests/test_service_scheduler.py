@@ -11,7 +11,7 @@ from repro.service import (
     ServiceScheduler,
     TrafficConfig,
 )
-from repro.telemetry.collector import TelemetryCollector
+from repro.telemetry.collector import TelemetryCollector, use_collector
 
 
 def _active_session(sched, session_id="s1", tenant="t", now=0.0, **kwargs):
@@ -204,11 +204,12 @@ class TestTelemetry:
     def test_service_metrics_emitted(self):
         tel = TelemetryCollector(origin="test")
         sched = ServiceScheduler(policy=SchedulerPolicy(queue_high_water=2),
-                                 pool=_StubPool(), telemetry=tel)
-        session = _active_session(sched)
-        for i in range(5):
-            sched.offer(0.0, session, i)
-        sched.dispatch(0.01)
+                                 pool=_StubPool())
+        with use_collector(tel):
+            session = _active_session(sched)
+            for i in range(5):
+                sched.offer(0.0, session, i)
+            sched.dispatch(0.01)
         counters = tel.metrics.counter_values("service.frames.admitted")
         assert sum(counters.values()) == 5
         shed = tel.metrics.counter_values("service.frames.shed")

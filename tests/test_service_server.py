@@ -18,6 +18,7 @@ from repro.service import (
     run_once,
 )
 from repro.service.session import SessionState
+from repro.telemetry.collector import TelemetryCollector, use_collector
 
 
 def _small_config(**kwargs):
@@ -110,8 +111,8 @@ class TestService:
 class TestHealth:
     def test_status_capture_reflects_ledger(self):
         pump, tel = run_once(_small_config())
-        status = ServiceStatus.capture(pump.scheduler, pump.now_s,
-                                       telemetry=tel)
+        with use_collector(tel):
+            status = ServiceStatus.capture(pump.scheduler, pump.now_s)
         sched = pump.scheduler
         assert status.frames["offered"] == sched.offered
         assert status.frames["processed"] == sched.processed
@@ -165,22 +166,38 @@ class TestHealth:
         if broken == "html":
             monkeypatch.setattr("repro.service.health.write_html_report",
                                 torn_write)
-        status = ServiceStatus.capture(pump.scheduler, pump.now_s,
-                                       telemetry=tel)
-        with pytest.raises(OSError, match="disk full"):
-            StatusWriter(out).write(
-                status, telemetry=tel,
-                series=TornSeries() if broken == "series" else None)
+        with use_collector(tel):
+            status = ServiceStatus.capture(pump.scheduler, pump.now_s)
+            with pytest.raises(OSError, match="disk full"):
+                StatusWriter(out).write(
+                    status,
+                    series=TornSeries() if broken == "series" else None)
         assert target.read_bytes() == before
         assert sorted(os.listdir(out)) == names
 
-    def test_refresh_probes_populates_probe_metrics(self):
-        from repro.telemetry.collector import TelemetryCollector
+    def test_no_collector_omits_process_latency_and_report(self, tmp_path):
+        pump, _ = run_once(_small_config())
+        status = ServiceStatus.capture(pump.scheduler, pump.now_s)
+        assert "process" not in status.latency
+        out = tmp_path / "status"
+        StatusWriter(out).write(status)
+        assert sorted(os.listdir(out)) == ["status.json"]
 
+    def test_collector_adds_process_latency_and_report(self, tmp_path):
+        pump, tel = run_once(_small_config())
+        out = tmp_path / "status"
+        with use_collector(tel):
+            status = ServiceStatus.capture(pump.scheduler, pump.now_s)
+            StatusWriter(out).write(status)
+        assert status.latency["process"]["count"] == pump.scheduler.processed
+        assert sorted(os.listdir(out)) == ["link_health.html", "status.json"]
+
+    def test_refresh_probes_populates_probe_metrics(self):
         pump, _ = build_service(_small_config())
         tel = TelemetryCollector(origin="probe-test")
         pump.scheduler.pool.entry("chain-0")
-        assert refresh_probes(pump.scheduler.pool, telemetry=tel) >= 1
+        with use_collector(tel):
+            assert refresh_probes(pump.scheduler.pool) >= 1
         names = {g["name"] for g in tel.payload()["gauges"]}
         assert any(name.startswith("probes.") for name in names)
 

@@ -90,8 +90,8 @@ class TestRelayTelemetry:
     def test_process_records_span_and_counters(self):
         relay = _siso_relay()
         x = np.ones(4096, dtype=complex)
-        tel = TelemetryCollector()
-        relay.process(x, telemetry=tel)
+        with use_collector(TelemetryCollector()) as tel:
+            relay.process(x)
         assert [s["name"] for s in tel.spans] == ["relay.process"]
         assert tel.spans[0]["labels"] == {"mode": "siso"}
         assert tel.counter("relay.samples", mode="siso").value == 4096
@@ -100,9 +100,9 @@ class TestRelayTelemetry:
 
         # A MIMO link runs the same entry point under its own label and
         # counts per-stream samples, not array elements.
-        tel = TelemetryCollector()
-        _mimo_relay().process(np.ones((2, 1024), dtype=complex),
-                              telemetry=tel)
+        relay = _mimo_relay()
+        with use_collector(TelemetryCollector()) as tel:
+            relay.process(np.ones((2, 1024), dtype=complex))
         assert [s["name"] for s in tel.spans] == ["relay.process"]
         assert tel.spans[0]["labels"] == {"mode": "mimo"}
         assert tel.metrics.counter_values("relay.samples") == {
@@ -118,9 +118,8 @@ class TestRelayTelemetry:
     def test_explicit_trace_still_honoured(self):
         relay = _siso_relay()
         trace = ChainTrace()
-        tel = TelemetryCollector()
-        relay.process(np.ones(2048, dtype=complex), trace=trace,
-                      telemetry=tel)
+        with use_collector(TelemetryCollector()):
+            relay.process(np.ones(2048, dtype=complex), trace=trace)
         assert trace.stages            # caller's trace got the stats
         assert trace.collector is None  # and was not silently rewired
 
@@ -129,7 +128,8 @@ class TestRelayTelemetry:
         rng = np.random.default_rng(7)
         x = rng.normal(size=8192) + 1j * rng.normal(size=8192)
         y_plain = relay.process(x)
-        y_instr = relay.process(x, telemetry=TelemetryCollector())
+        with use_collector(TelemetryCollector()):
+            y_instr = relay.process(x)
         np.testing.assert_array_equal(y_plain, y_instr)
 
     def test_uninstrumented_records_nothing(self):
@@ -145,13 +145,14 @@ class TestSupervisorTelemetry:
             policy=SupervisorPolicy(retune_retry_budget=1,
                                     escalation_hold_s=0.0,
                                     recovery_hold_s=0.2),
-            retune=lambda t: False, telemetry=tel)
-        for i in range(30):
-            sup.monitor.observe(residual_si_db=-10.0)
-            sup.step(i * 0.1)
-        for i in range(30, 40):
-            sup.monitor.observe(residual_si_db=-50.0, clip_fraction=0.0)
-            sup.step(i * 0.1)
+            retune=lambda t: False)
+        with use_collector(tel):
+            for i in range(30):
+                sup.monitor.observe(residual_si_db=-10.0)
+                sup.step(i * 0.1)
+            for i in range(30, 40):
+                sup.monitor.observe(residual_si_db=-50.0, clip_fraction=0.0)
+                sup.step(i * 0.1)
         return sup
 
     def test_transition_counters_match_event_log(self):
