@@ -54,9 +54,12 @@ class CnfFilterDecomposition:
 
     ``digital_taps`` run at ``digital_rate_hz``; ``analog_line`` holds
     the tuned 4-tap delay line.  ``response(freqs)`` evaluates the
-    realised cascade; ``fit_error_db`` is the band mean-square deviation
-    from the ideal response (0 dB means the approximation is as large as
-    the target itself — good fits are -20 dB and below).
+    realised cascade; ``realised_response`` is that cascade on
+    ``target_freqs_hz`` as the solve formed it, equal to
+    ``response(target_freqs_hz)``; ``fit_error_db`` is the band
+    mean-square deviation from the ideal response (0 dB means the
+    approximation is as large as the target itself — good fits are
+    -20 dB and below).
     """
 
     digital_taps: np.ndarray
@@ -64,6 +67,7 @@ class CnfFilterDecomposition:
     analog_line: AnalogTapDelayLine
     target_freqs_hz: np.ndarray
     target_response: np.ndarray
+    realised_response: np.ndarray
     fit_error_db: float
 
     def digital_response(self, freqs_hz):
@@ -191,5 +195,6 @@ def _decompose_once(freqs, target, digital_taps, digital_rate_hz,
         analog_line=line,
         target_freqs_hz=freqs,
         target_response=target,
+        realised_response=realised,
         fit_error_db=fit_error_db,
     )

@@ -114,11 +114,11 @@ class FastForwardRelay:
         # (sample rate, CFO, block size) until the link changes.
         self._link_token = None
         self._chains = {}
-        # Auto-wired telemetry traces, one per live collector: the
-        # trace (and its resolved metric points) is reused across
-        # process() calls, so per-call instrumentation setup stays off
-        # the streaming path.
-        self._auto_traces = weakref.WeakKeyDictionary()
+        # Auto-wired telemetry, one record per live collector: the
+        # trace and the ``relay.samples`` points (resolved once each)
+        # are reused across process() calls, so per-call
+        # instrumentation setup stays off the streaming path.
+        self._telemetry = weakref.WeakKeyDictionary()
 
     def _invalidate_chains(self):
         """A new link means new kernels: drop memoised chains."""
@@ -199,7 +199,7 @@ class FastForwardRelay:
                 cand = decompose_cnf_filter(
                     freqs, ideal, carrier_hz=cfg.params.carrier_hz,
                     delay_slack_s=tau, weights=weights)
-                resp = cand.response(freqs)
+                resp = cand.realised_response
                 # The filter's gain is bounded by unity (extra gain
                 # belongs to the capped amplification); scale so the
                 # strongest subcarrier uses the full budget.
@@ -566,22 +566,23 @@ class FastForwardRelay:
         run_chain = Chain([*faults, chain], name=f"faulty-{chain.name}")
         return run_chain.run(x, trace=trace)
 
-    def _auto_trace(self, tel):
-        """The memoised telemetry-fed trace for a live collector.
+    def _auto_telemetry(self, tel):
+        """The memoised ``(trace, samples_by_mode)`` for a live collector.
 
-        Auto-wired traces feed ``runtime.stage.*`` metric points that
-        are resolved once per stage; reusing the trace across calls
-        keeps that resolution off the per-call path.  The trace itself
-        only writes into the collector, so sharing it between calls is
-        observationally identical to a fresh one.
+        The auto-wired trace feeds ``runtime.stage.*`` metric points
+        that are resolved once per stage, and ``samples_by_mode`` holds
+        each mode's ``relay.samples`` counter once it is first used;
+        reusing both across calls keeps the registry lookups off the
+        per-call path.  Both only write into the collector, so sharing
+        them between calls is observationally identical to fresh ones.
         """
-        trace = self._auto_traces.get(tel)
-        if trace is None:
+        record = self._telemetry.get(tel)
+        if record is None:
             from repro.runtime.chain import ChainTrace
 
-            trace = ChainTrace(collector=tel, energy=False)
-            self._auto_traces[tel] = trace
-        return trace
+            record = (ChainTrace(collector=tel, energy=False), {})
+            self._telemetry[tel] = record
+        return record
 
     @staticmethod
     def _harvest_health(faults):
@@ -658,8 +659,10 @@ class FastForwardRelay:
         mode = self._sample_mode()
         sample_rate_hz = sample_rate_hz or self.config.params.bandwidth_hz
         tel = current_collector()
-        if tel.enabled and trace is None:
-            trace = self._auto_trace(tel)
+        if tel.enabled:
+            auto_trace, samples_by_mode = self._auto_telemetry(tel)
+            if trace is None:
+                trace = auto_trace
         x = self._admit_stream(self._coerce_stream(iq_stream), supervisor)
         n = x.shape[-1]
         chain = self._memoised_chain(sample_rate_hz, cfo_hz, n)
@@ -673,7 +676,12 @@ class FastForwardRelay:
                     y, duration_s=n / sample_rate_hz,
                     clip_fraction=clip_fraction,
                     residual_si_db=residual_si_db)
-        tel.counter("relay.samples", mode=mode).inc(int(n))
+        if tel.enabled:
+            samples = samples_by_mode.get(mode)
+            if samples is None:
+                samples = samples_by_mode[mode] = tel.counter(
+                    "relay.samples", mode=mode)
+            samples.inc(int(n))
         if probes is not None:
             probes.publish()
         return y

@@ -263,11 +263,14 @@ class ResidualSiStage(Stage):
             self._jumped = True
         if n == 0:
             return x
-        power = float(np.mean(np.abs(x) ** 2))
+        # np.mean's own sum and divide, without its dispatch.
+        power = float(np.add.reduce(np.abs(x) ** 2, axis=None) / x.size)
         if power <= 0.0:
             return x
         level = power * 10.0 ** (self.residual_si_db / 10.0)
         scale = np.sqrt(level / 2.0)
-        noise = scale * (self._noise_rng.standard_normal(x.shape)
-                         + 1j * self._noise_rng.standard_normal(x.shape))
+        # One draw for both parts: the generator fills the real parts
+        # first, exactly as two successive calls would.
+        z = self._noise_rng.standard_normal((2,) + x.shape)
+        noise = scale * (z[0] + 1j * z[1])
         return x + noise

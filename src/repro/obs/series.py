@@ -26,22 +26,30 @@ DEFAULT_RETENTION = 2048
 
 
 class Series:
-    """One named ring buffer of ``(t, value)`` samples."""
+    """One named ring buffer of ``(t, value)`` samples.
 
-    __slots__ = ("name", "unit", "points")
+    Samples arrive in time order (equal times are allowed), so every
+    time window is a contiguous run of the ring; ``appended`` counts
+    every sample ever taken, so ``points[j - appended]`` is the sample
+    with absolute index ``j`` while the ring still holds it.
+    """
+
+    __slots__ = ("name", "unit", "points", "appended")
 
     def __init__(self, name, unit=None, retention=DEFAULT_RETENTION):
         self.name = str(name)
         self.unit = unit
         self.points = deque(maxlen=int(retention))
+        self.appended = 0
 
     def sample(self, t, value):
-        self.points.append((float(t), float(value)))
-
-    def window(self, now, span):
-        """Values with ``now - span < t <= now`` (chronological)."""
-        lo = now - span
-        return [v for t, v in self.points if lo < t <= now]
+        t = float(t)
+        if self.points and t < self.points[-1][0]:
+            raise ValueError(
+                f"series {self.name!r}: sample at t={t} precedes the "
+                f"newest at t={self.points[-1][0]}")
+        self.points.append((t, float(value)))
+        self.appended += 1
 
     @property
     def latest(self):

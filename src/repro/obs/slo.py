@@ -21,6 +21,7 @@ service layer.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from repro.telemetry.collector import current_collector
@@ -86,11 +87,6 @@ class SloSpec:
         return value > self.target if self.objective == "le" \
             else value < self.target
 
-    def bad_fraction(self, values):
-        if not values:
-            return 0.0
-        return sum(1 for v in values if self.is_bad(v)) / len(values)
-
     def as_dict(self):
         return {"name": self.name, "series": self.series,
                 "objective": self.objective, "target": self.target,
@@ -155,8 +151,80 @@ def default_service_slos(latency_target_s=0.05, shed_budget=0.05,
     )
 
 
+class _WindowCounts:
+    """One spec's running bad-sample counts over its series.
+
+    ``prefix`` holds, for each absolute sample index ``j`` the series
+    still retains (and the next one), the number of bad samples before
+    ``j``.  A series is in time order, so the samples of ``(now - span,
+    now]`` are the contiguous indices ``[lo, hi)``: their bad count is
+    a difference of two prefix entries.  Each evaluation ingests only
+    the samples taken since the last one, and moves ``hi`` and each
+    span's ``lo`` by as many indices as ``now`` crossed, in either
+    direction.
+    """
+
+    __slots__ = ("spec", "series", "seen", "prefix", "hi", "lo")
+
+    def __init__(self, spec, series):
+        self.spec = spec
+        self.series = series
+        first = series.appended - len(series.points)
+        self.seen = first
+        self.prefix = deque([0], maxlen=series.points.maxlen + 1)
+        self.hi = first
+        self.lo = {span: first for window in spec.windows
+                   for span in (window.long_s, window.short_s)}
+
+    def advance(self, now):
+        """Ingest new samples and move ``hi`` to the first after ``now``."""
+        points, appended = self.series.points, self.series.appended
+        new = appended - self.seen
+        if new > len(points):
+            # Samples came and left the ring unseen: count afresh from
+            # the oldest retained one.
+            self.prefix.clear()
+            self.prefix.append(0)
+            new = len(points)
+        is_bad, prefix = self.spec.is_bad, self.prefix
+        count = prefix[-1]
+        for k in range(-new, 0):
+            count += is_bad(points[k][1])
+            prefix.append(count)
+        self.seen = appended
+        first = appended - len(points)
+        hi = max(self.hi, first)
+        while hi < appended and points[hi - appended][0] <= now:
+            hi += 1
+        while hi > first and points[hi - 1 - appended][0] > now:
+            hi -= 1
+        self.hi = hi
+
+    def window(self, now, span):
+        """``(samples, bad samples)`` with ``now - span < t <= now``."""
+        points, appended = self.series.points, self.series.appended
+        first = appended - len(points)
+        bound = now - span
+        hi = self.hi
+        lo = min(max(self.lo[span], first), hi)
+        while lo < hi and points[lo - appended][0] <= bound:
+            lo += 1
+        while lo > first and points[lo - 1 - appended][0] > bound:
+            lo -= 1
+        self.lo[span] = lo
+        # prefix[-1] counts the samples before index ``seen``.
+        prefix, seen = self.prefix, self.seen
+        return hi - lo, prefix[hi - seen - 1] - prefix[lo - seen - 1]
+
+
 class SloEngine:
-    """Evaluates SLO specs against a series recorder, tracks alerts."""
+    """Evaluates SLO specs against a series recorder, tracks alerts.
+
+    The engine keeps a running count of bad samples per spec and
+    window, so an evaluation costs what arrived since the last one, not
+    the windows' length.  The series it reads must be in time order,
+    which :class:`repro.obs.series.Series` enforces.
+    """
 
     def __init__(self, specs):
         self.specs = tuple(specs)
@@ -165,26 +233,35 @@ class SloEngine:
             raise ValueError(f"duplicate SLO names: {names}")
         self.alerts = []              # full typed transition stream
         self._active = {}             # (slo, long_s, short_s) -> bool
-        self._last = {}               # spec name -> evaluation dict
+        self._counts = {}             # spec name -> _WindowCounts
+        self._last = {}               # spec name -> (latest, results)
 
     def evaluate(self, recorder, now_s):
         """Evaluate every spec at virtual time ``now_s``.
 
         Returns the list of *new* :class:`SloAlert` transitions (firing
         or resolving); the cumulative stream stays in ``self.alerts``.
+        A burn rate is the window's bad fraction (an integer ratio) over
+        the spec's budget.
         """
         transitions = []
         for spec in self.specs:
             series = recorder.series(spec.series)
-            windows = []
+            counts = self._counts.get(spec.name)
+            if counts is None or counts.series is not series:
+                counts = self._counts[spec.name] = _WindowCounts(spec,
+                                                                 series)
+            counts.advance(now_s)
+            results = []
             for window in spec.windows:
-                long_vals = series.window(now_s, window.long_s)
-                short_vals = series.window(now_s, window.short_s)
-                burn_long = spec.bad_fraction(long_vals) / spec.budget
-                burn_short = spec.bad_fraction(short_vals) / spec.budget
-                enough = (len(long_vals) >= spec.min_samples
-                          and len(short_vals) >= max(spec.min_samples // 2,
-                                                     1))
+                n_long, bad_long = counts.window(now_s, window.long_s)
+                n_short, bad_short = counts.window(now_s, window.short_s)
+                burn_long = (bad_long / n_long if n_long else 0.0) \
+                    / spec.budget
+                burn_short = (bad_short / n_short if n_short else 0.0) \
+                    / spec.budget
+                enough = (n_long >= spec.min_samples
+                          and n_short >= max(spec.min_samples // 2, 1))
                 firing = (enough
                           and burn_long > window.burn_threshold
                           and burn_short > window.burn_threshold)
@@ -202,18 +279,8 @@ class SloEngine:
                     transitions.append(alert)
                     self.alerts.append(alert)
                     self._emit(alert)
-                windows.append({"long_s": window.long_s,
-                                "short_s": window.short_s,
-                                "severity": window.severity,
-                                "burn_long": round(burn_long, 6),
-                                "burn_short": round(burn_short, 6),
-                                "threshold": window.burn_threshold,
-                                "firing": firing})
-            self._last[spec.name] = {
-                "series": spec.series, "objective": spec.objective,
-                "target": spec.target, "budget": spec.budget,
-                "latest": series.latest, "windows": windows,
-                "firing": any(w["firing"] for w in windows)}
+                results.append((burn_long, burn_short, firing))
+            self._last[spec.name] = (series.latest, results)
         return transitions
 
     def _emit(self, alert):
@@ -232,10 +299,26 @@ class SloEngine:
         return sorted({slo for (slo, _, _), active in self._active.items()
                        if active})
 
+    def _state(self, spec):
+        """One spec's burn state at its last evaluation."""
+        latest, results = self._last[spec.name]
+        windows = [{"long_s": window.long_s, "short_s": window.short_s,
+                    "severity": window.severity,
+                    "burn_long": round(burn_long, 6),
+                    "burn_short": round(burn_short, 6),
+                    "threshold": window.burn_threshold, "firing": firing}
+                   for window, (burn_long, burn_short, firing)
+                   in zip(spec.windows, results)]
+        return {"series": spec.series, "objective": spec.objective,
+                "target": spec.target, "budget": spec.budget,
+                "latest": latest, "windows": windows,
+                "firing": any(w["firing"] for w in windows)}
+
     def status(self):
         """The status.json projection: per-SLO burn state + alert log."""
+        by_name = {spec.name: spec for spec in self.specs}
         return {"specs": [spec.as_dict() for spec in self.specs],
-                "state": {name: self._last[name]
+                "state": {name: self._state(by_name[name])
                           for name in sorted(self._last)},
                 "firing": self.firing,
                 "alerts": [alert.as_dict() for alert in self.alerts]}

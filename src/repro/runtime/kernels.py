@@ -14,8 +14,9 @@ link, but 5,515-8,175 (median 7,909) on an ideal SISO link and
 8,159-8,175 on a 2x2 MIMO link, whose linearly interpolated responses
 decay only like 1/t^2.  The kernel cache is keyed on the response's
 identity, the sample rate and the window shape; the FFT of the kernel
-is additionally memoised per transform size, so a change of block size
-re-uses the same FIR.  The clips one-shot frames use
+is additionally memoised per transform size (and per layout: overlap-
+save or one circular convolution), so a change of block size re-uses
+the same FIR.  The clips one-shot frames use
 (:meth:`SpectralKernel.clipped`) are memoised on the kernel the same
 way.
 
@@ -133,6 +134,30 @@ class SpectralKernel:
                 self._spectra[fft_size] = np.fft.fft(self.fir, fft_size,
                                                      axis=-1)
             return self._spectra[fft_size]
+
+    def circular_spectrum(self, fft_size):
+        """The FFT of the kernel laid out for one circular convolution.
+
+        The cursor sits at bin 0 and the ``precursor`` taps wrap to the
+        end of the ``fft_size``-point buffer, so a frame of ``n`` samples
+        multiplied by this spectrum yields its aligned output in the
+        first ``n`` samples whenever ``fft_size >= n + max(precursor,
+        postcursor)`` (no tap wraps onto an output it cannot reach).
+        Memoised per size beside :meth:`spectrum`.
+        """
+        if fft_size < self.length:
+            raise ValueError(
+                f"fft_size {fft_size} shorter than kernel ({self.length})")
+        key = ("circular", fft_size)
+        with self._spectra_lock:
+            if key not in self._spectra:
+                pre = self.precursor
+                layout = np.zeros(self.fir.shape[:-1] + (fft_size,),
+                                  dtype=complex)
+                layout[..., : self.length - pre] = self.fir[..., pre:]
+                layout[..., fft_size - pre:] = self.fir[..., :pre]
+                self._spectra[key] = np.fft.fft(layout, axis=-1)
+            return self._spectra[key]
 
     def clipped(self, reach):
         """The kernel restricted to the taps within ``reach`` of the cursor.

@@ -22,6 +22,18 @@ samples, zero on either side, never meets the others, so its output
 equals the full kernel's to round-off at a fraction of the FFT work.
 Such a stage refuses a stream longer than ``N`` between resets.
 Streaming chains have no frame end and keep the full kernel.
+
+A one-shot stage also picks its transform from the frame and kernel
+lengths.  A whole frame fits one circular convolution of
+``next_pow2(N + max(precursor, postcursor))`` points (no tap then
+wraps onto an output it can reach), which for a 256-sample frame is
+512 points where overlap-save would put the 510 samples of history
+and the frame into 1,024.  The stage runs that single transform when
+it is no larger than its overlap-save ``fft_size``, buffering the
+frame and transforming it at :meth:`~FrequencyResponseStage.flush`;
+otherwise (a long frame against a short kernel) it keeps overlap-save.
+``fft_size`` and ``hop`` describe the transform it runs: one
+``fft_size``-point transform per ``hop`` input samples.
 """
 
 from __future__ import annotations
@@ -63,8 +75,10 @@ class FrequencyResponseStage(Stage):
         The cached kernel is then clipped to the taps within
         ``frame_samples - 1`` of the cursor (which bounds
         :attr:`latency_samples` likewise), and a longer stream raises
-        ``ValueError``.  ``None`` keeps the full kernel for an unbounded
-        stream.
+        ``ValueError``.  Such a stage transforms the whole frame in one
+        circular convolution when that is no larger than the
+        overlap-save transform (module docstring).  ``None`` keeps the
+        full kernel and overlap-save for an unbounded stream.
     """
 
     def __init__(self, response_fn, sample_rate_hz, block_size=4096,
@@ -89,7 +103,16 @@ class FrequencyResponseStage(Stage):
         # the hop at least L+1 even for tiny block hints.
         self.fft_size = next_pow2(max(2 * length, length - 1 + block_size))
         self.hop = self.fft_size - (length - 1)
-        self._spectrum = self.kernel.spectrum(self.fft_size)
+        # A bounded frame fits one circular convolution this long (see
+        # the module docstring); run it when it is the smaller transform.
+        circular = None if frame_samples is None else next_pow2(
+            frame_samples + max(self.kernel.precursor, self.kernel.postcursor))
+        self._whole_frame = circular is not None and circular <= self.fft_size
+        if self._whole_frame:
+            self.fft_size, self.hop = circular, frame_samples
+            self._spectrum = self.kernel.circular_spectrum(self.fft_size)
+        else:
+            self._spectrum = self.kernel.spectrum(self.fft_size)
         # Leading (non-sample) shape of every block: () for a scalar
         # response's 1-D stream, (streams,) for a matrix response.
         self._lead = (self._spectrum.shape[0],) if self.kernel.is_matrix \
@@ -122,6 +145,15 @@ class FrequencyResponseStage(Stage):
     def _empty(self):
         return np.zeros(self._lead + (0,), dtype=complex)
 
+    def _filter(self, segment):
+        """Multiply ``segment``'s transform by the kernel's and invert."""
+        spec = np.fft.fft(segment, self.fft_size, axis=-1)
+        if not self._lead:
+            out_spec = self._spectrum * spec
+        else:
+            out_spec = np.einsum("rtm,tm->rm", self._spectrum, spec)
+        return np.fft.ifft(out_spec, axis=-1)
+
     def _convolve_hop(self, chunk):
         """One overlap-save step: ``hop`` input -> ``hop`` output samples."""
         length = self.kernel.length
@@ -129,12 +161,7 @@ class FrequencyResponseStage(Stage):
             self._history = np.zeros(self._lead + (length - 1,),
                                      dtype=complex)
         segment = np.concatenate([self._history, chunk], axis=-1)
-        spec = np.fft.fft(segment, axis=-1)
-        if not self._lead:
-            out_spec = self._spectrum * spec
-        else:
-            out_spec = np.einsum("rtm,tm->rm", self._spectrum, spec)
-        y = np.fft.ifft(out_spec, axis=-1)[..., length - 1:]
+        y = self._filter(segment)[..., length - 1:]
         # Indexed from the front: a 1-tap (clipped) kernel keeps no
         # history, and ``[-0:]`` would keep the whole segment.
         self._history = segment[..., self.hop:]
@@ -181,10 +208,17 @@ class FrequencyResponseStage(Stage):
             raise ValueError(
                 f"stage clipped for {self.frame_samples}-sample frames got "
                 f"{self._in_count + x.shape[-1]} samples since reset")
+        if self._whole_frame:
+            # The frame is transformed whole at flush().
+            self._in_count += x.shape[-1]
+            self._pending.append(x)
+            return self._empty()
         return self._drain(x, is_input=True)
 
     def flush(self):
         """Drain the tail so total output length equals total input."""
+        if self._whole_frame:
+            return self._flush_frame()
         outs = []
         zeros_shape = self._lead + (self.hop,)
         guard = 0
@@ -197,3 +231,13 @@ class FrequencyResponseStage(Stage):
         if not outs:
             return self._empty()
         return np.concatenate(outs, axis=-1)
+
+    def _flush_frame(self):
+        """The buffered frame through one circular convolution."""
+        if not self._pending:
+            return self._empty()
+        x = self._pending[0] if len(self._pending) == 1 \
+            else np.concatenate(self._pending, axis=-1)
+        self._pending = []
+        self._out_count += x.shape[-1]
+        return self._filter(x)[..., : x.shape[-1]]

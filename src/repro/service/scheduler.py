@@ -282,6 +282,9 @@ class ServiceScheduler:
         self.rejected_sessions = 0
         # Deterministic (virtual-time) latency samples, seconds.
         self.queue_wait_s = []
+        # Metric points resolved on the current collector (_point).
+        self._points_tel = None
+        self._points = {}
 
     # -- plumbing ----------------------------------------------------------
 
@@ -307,6 +310,25 @@ class ServiceScheduler:
         return sum(1 for s in self.sessions.values()
                    if s.state in (SessionState.SOUNDING, SessionState.ACTIVE,
                                   SessionState.DRAINING))
+
+    def _point(self, tel, kind, name, unit=None, **labels):
+        """The ``kind`` metric point ``(name, labels)`` of ``tel``.
+
+        Resolving a point in the registry (keyword labels -> sorted
+        key) costs more than updating it, so each is resolved once per
+        collector, on first use, as
+        :class:`~repro.runtime.chain.ChainTrace` does for
+        ``runtime.stage.*``; a point never used is never created.  Each
+        name is always given the same label keys, in the same order.
+        """
+        if self._points_tel is not tel:
+            self._points_tel, self._points = tel, {}
+        key = (name, *labels.values())
+        point = self._points.get(key)
+        if point is None:
+            point = self._points[key] = getattr(tel, kind)(
+                name, unit=unit, **labels)
+        return point
 
     def _event(self, now_s, kind, session, index, detail=None):
         event = FrameEvent(time_s=float(now_s), kind=kind,
@@ -365,14 +387,15 @@ class ServiceScheduler:
             self._event(now_s, FrameEventKind.REJECTED, session, index,
                         {"reason": f"session-{session.state.value}"})
             if tel.enabled:
-                tel.counter("service.frames.rejected", tenant=session.tenant,
+                self._point(tel, "counter", "service.frames.rejected",
+                            tenant=session.tenant,
                             reason=f"session-{session.state.value}").inc()
             return False
         self.admitted += 1
         session.admitted += 1
         self._event(now_s, FrameEventKind.ADMITTED, session, index)
         if tel.enabled:
-            tel.counter("service.frames.admitted",
+            self._point(tel, "counter", "service.frames.admitted",
                         tenant=session.tenant).inc()
         tq = self.tenant(session.tenant)
         if len(tq.queue) >= self.policy.queue_high_water:
@@ -382,8 +405,8 @@ class ServiceScheduler:
                                      frame=session.frame(index),
                                      arrival_s=float(now_s)))
         if tel.enabled:
-            tel.gauge("service.queue.depth",
-                      tenant=session.tenant).set(len(tq.queue))
+            self._point(tel, "gauge", "service.queue.depth",
+                        tenant=session.tenant).set(len(tq.queue))
         return True
 
     def _shed(self, now_s, session, index, reason, arrival_s=None):
@@ -393,8 +416,8 @@ class ServiceScheduler:
         self._event(now_s, FrameEventKind.SHED, session, index, detail)
         tel = current_collector()
         if tel.enabled:
-            tel.counter("service.frames.shed", tenant=session.tenant,
-                        reason=reason).inc()
+            self._point(tel, "counter", "service.frames.shed",
+                        tenant=session.tenant, reason=reason).inc()
 
     # -- dispatch (deficit round-robin) ------------------------------------
 
@@ -474,16 +497,17 @@ class ServiceScheduler:
         self.queue_wait_s.append(wait_s)
         self._event(now_s, FrameEventKind.PROCESSED, session, item.index)
         if tel.enabled:
-            tel.counter("service.frames.processed",
+            self._point(tel, "counter", "service.frames.processed",
                         tenant=session.tenant).inc()
-            tel.histogram("service.latency.queue_ms",
-                          unit="ms").observe(wait_s * 1e3)
-            tel.histogram("service.latency.process_ns",
-                          unit="ns").observe(wall_ns)
-            tel.histogram("service.frame.samples").observe(item.frame.size)
+            self._point(tel, "histogram", "service.latency.queue_ms",
+                        unit="ms").observe(wait_s * 1e3)
+            self._point(tel, "histogram", "service.latency.process_ns",
+                        unit="ns").observe(wall_ns)
+            self._point(tel, "histogram",
+                        "service.frame.samples").observe(item.frame.size)
             tq = self._tenants[session.tenant]
-            tel.gauge("service.queue.depth",
-                      tenant=session.tenant).set(len(tq.queue))
+            self._point(tel, "gauge", "service.queue.depth",
+                        tenant=session.tenant).set(len(tq.queue))
 
     # -- drain -------------------------------------------------------------
 

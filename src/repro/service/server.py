@@ -19,6 +19,7 @@ anything given up) instead of a stack trace.
 from __future__ import annotations
 
 import asyncio
+import heapq
 
 from dataclasses import dataclass
 
@@ -81,6 +82,12 @@ class ServicePump:
         # Per-session arrival cursors, fixed order = deterministic order.
         self._cursors = [0] * len(self.sessions)
         self._arrivals = [s.arrivals_s for s in self.sessions]
+        # The sessions a tick visits: the ones still to be admitted or
+        # activated (indices, in session order), and the active ones
+        # whose next arrival is due (a heap of (arrival, index)).  Any
+        # other session would do nothing in the tick, so it is skipped.
+        self._waiting = list(range(len(self.sessions)))
+        self._next_arrivals = []
 
     # -- schedule introspection --------------------------------------------
 
@@ -104,7 +111,14 @@ class ServicePump:
         now_s = self.now_s if now_s is None else float(now_s)
         sched = self.scheduler
         sounding_s = sched.policy.sounding_s
-        for i, session in enumerate(self.sessions):
+        heap = self._next_arrivals
+        visit = self._waiting
+        while heap and heap[0][0] <= now_s:
+            visit.append(heapq.heappop(heap)[1])
+        visit.sort()            # session order, as a full scan visits
+        self._waiting = []
+        for i in visit:
+            session = self.sessions[i]
             start = session.traffic.start_s
             if (session.state is SessionState.PENDING
                     and now_s >= start - sounding_s):
@@ -118,6 +132,11 @@ class ServicePump:
                        and arrivals[self._cursors[i]] <= now_s):
                     sched.offer(now_s, session, self._cursors[i])
                     self._cursors[i] += 1
+                if self._cursors[i] < len(arrivals):
+                    heapq.heappush(heap, (arrivals[self._cursors[i]], i))
+            elif session.state in (SessionState.PENDING,
+                                   SessionState.SOUNDING):
+                self._waiting.append(i)
         served = sched.dispatch(now_s,
                                 max_frames=self.config.capacity_per_tick)
         self._sample_series(now_s)

@@ -115,6 +115,18 @@ class TrafficConfig:
                              f"got {self.duration_s}")
 
 
+def _uint32_words(value):
+    """``value`` as the little-endian uint32 words ``SeedSequence`` uses."""
+    if value < 0:
+        raise ValueError(f"expected a non-negative seed, got {value}")
+    words = [value & 0xFFFFFFFF]
+    value >>= 32
+    while value:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+    return words
+
+
 class ClientSession:
     """One client's stream through the relay service.
 
@@ -152,6 +164,7 @@ class ClientSession:
         self.shed = 0
         self.rejected_frames = 0
         self._arrivals = None
+        self._frame_words = None
 
     def __repr__(self):
         return (f"ClientSession({self.session_id!r}, tenant="
@@ -180,11 +193,21 @@ class ClientSession:
         return self._arrivals
 
     def frame(self, index):
-        """The ``index``-th IQ frame: seeded unit-power complex noise."""
-        rng = np.random.default_rng((self.seed, 0xF4A3, int(index)))
+        """The ``index``-th IQ frame: seeded unit-power complex noise.
+
+        The generator is seeded with ``(seed, 0xF4A3, index)`` as the
+        uint32 words :class:`numpy.random.SeedSequence` reduces it to
+        (the seed's words are split once per session), so the stream is
+        the tuple seed's.
+        """
+        if self._frame_words is None:
+            self._frame_words = _uint32_words(self.seed) + [0xF4A3]
+        rng = np.random.default_rng(np.array(
+            self._frame_words + _uint32_words(int(index)), dtype=np.uint32))
         n = self.traffic.frame_samples
-        x = (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        return x / np.sqrt(2.0)
+        # One draw: the real parts come first, as from two calls.
+        z = rng.standard_normal((2, n))
+        return (z[0] + 1j * z[1]) / np.sqrt(2.0)
 
     # -- lifecycle ---------------------------------------------------------
 

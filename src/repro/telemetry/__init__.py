@@ -58,12 +58,6 @@ from repro.telemetry.metrics import (
 )
 from repro.telemetry.spans import NULL_SPAN, NullSpan, SpanRecorder
 from repro.telemetry.timing import NS_PER_S, now_ns, timed_call
-from repro.telemetry.validate import (
-    KNOWN_METRIC_PREFIXES,
-    TelemetrySchemaError,
-    validate_chrome_trace,
-    validate_jsonl,
-)
 
 __all__ = [
     "PAYLOAD_VERSION",
@@ -98,3 +92,19 @@ __all__ = [
     "validate_chrome_trace",
     "validate_jsonl",
 ]
+
+#: Served from :mod:`repro.telemetry.validate` on first use, so that
+#: ``python -m repro.telemetry.validate`` runs that module once, as
+#: ``__main__``, and not a second time under its own name.
+_VALIDATE_NAMES = frozenset({
+    "KNOWN_METRIC_PREFIXES", "TelemetrySchemaError",
+    "validate_chrome_trace", "validate_jsonl",
+})
+
+
+def __getattr__(name):
+    if name in _VALIDATE_NAMES:
+        from repro.telemetry import validate
+
+        return getattr(validate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

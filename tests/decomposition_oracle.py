@@ -86,4 +86,5 @@ def decompose(freqs_hz, desired_response, carrier_hz=2.45e9,
     return CnfFilterDecomposition(
         digital_taps=h_p, digital_rate_hz=80e6, analog_line=line,
         target_freqs_hz=freqs, target_response=target,
+        realised_response=realised,
         fit_error_db=float(10.0 * np.log10(max(err, 1e-30))))

@@ -195,6 +195,16 @@ class TestAgainstBisectionOracle:
         for (_, pick), (_, pick_ref) in runs:
             assert pick == pick_ref
 
+    def test_kept_response_is_the_evaluated_cascade(self, oracle_corpus):
+        # The relay scores each candidate by the response its solve
+        # formed; it must be the cascade response() evaluates, bit for
+        # bit, as the candidates were scored when they rebuilt it.
+        runs, _ = oracle_corpus
+        for (candidates, _), _ in runs:
+            for cand in candidates:
+                assert np.array_equal(cand.realised_response,
+                                      cand.response(cand.target_freqs_hz))
+
 
 def _ridge_gains(basis, target, lam):
     """The ridge solution at ``lam``, from its own SVD."""

@@ -121,7 +121,53 @@ class TestSampleDrop:
             SampleDropStage(FaultSchedule(1), mode="garbage")
 
 
+class _TwoDrawResidualSi(ResidualSiStage):
+    """The stage as it drew its residual before: ``np.mean``, two draws."""
+
+    def process_block(self, x):
+        x = np.asarray(x, dtype=complex)
+        n = x.shape[-1]
+        mask = self._jumps.mask(self._cursor, n)
+        self._cursor += n
+        if mask.any():
+            self.jump_count += int(np.count_nonzero(mask))
+            self._jumped = True
+        if n == 0:
+            return x
+        power = float(np.mean(np.abs(x) ** 2))
+        if power <= 0.0:
+            return x
+        level = power * 10.0 ** (self.residual_si_db / 10.0)
+        scale = np.sqrt(level / 2.0)
+        noise = scale * (self._noise_rng.standard_normal(x.shape)
+                         + 1j * self._noise_rng.standard_normal(x.shape))
+        return x + noise
+
+
 class TestResidualSi:
+    @pytest.mark.parametrize("rows", [None, 2])
+    def test_one_draw_equals_the_two_draw_original(self, rows):
+        shape = (4096,) if rows is None else (rows, 2048)
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        x[..., 600:700] = 0.0           # one all-zero block below
+        stages = [cls(FaultSchedule(13), jump_rate_per_sample=3e-3)
+                  for cls in (ResidualSiStage, _TwoDrawResidualSi)]
+        levels = set()
+        pos, k = 0, 0
+        for size in [1, 99, 500, 100, 0, 517, 1024, 3, 4096]:
+            block = x[..., pos:pos + size]
+            pos += block.shape[-1]
+            outs = [stage.process_block(block) for stage in stages]
+            assert np.array_equal(outs[0], outs[1])
+            levels.add(stages[0].residual_si_db)
+            k += 1
+            if k % 3 == 0:               # re-tune: back to the baseline
+                for stage in stages:
+                    stage.retune()
+        assert stages[0].jump_count == stages[1].jump_count >= 2
+        assert levels == {-8.0, -50.0}
+
     def test_baseline_residual_is_small(self, noise):
         stage = ResidualSiStage(FaultSchedule(10), jump_rate_per_sample=0.0,
                                 baseline_residual_db=-50.0)

@@ -22,6 +22,7 @@ from repro.runtime import (
     GainStage,
     Stage,
 )
+from repro.utils.signal_ops import next_pow2
 
 FS = WIFI_20MHZ.bandwidth_hz
 
@@ -59,6 +60,20 @@ def _siso_relay(seed=7, use_decomposition=True):
 
     relay = FastForwardRelay(RelayConfig(use_decomposition=use_decomposition))
     relay.configure_siso_link(draw(), draw(), draw())
+    return relay
+
+
+def _mimo_k1_relay(seed):
+    """A MIMO link through a one-antenna relay: (2,2), (1,2), (2,1)."""
+    rng = np.random.default_rng(seed)
+    freqs = WIFI_20MHZ.subcarrier_freqs_hz()
+
+    def draw(rows, cols):
+        return (rng.normal(size=(freqs.size, rows, cols))
+                + 1j * rng.normal(size=(freqs.size, rows, cols)))
+
+    relay = FastForwardRelay(RelayConfig())
+    relay.configure_mimo_link(draw(2, 2), draw(1, 2), draw(2, 1))
     return relay
 
 
@@ -298,7 +313,8 @@ def links():
     """
     relays = {"ideal": _siso_relay(seed=43, use_decomposition=False),
               "decomposed": _siso_relay(seed=43),
-              "mimo": _mimo_relay(seed=41)}
+              "mimo": _mimo_relay(seed=41),
+              "mimo-k1": _mimo_k1_relay(seed=41)}
     out = {}
     for kind, relay in relays.items():
         kernel = _cnf_stage(relay.make_chain()).kernel
@@ -397,3 +413,106 @@ class TestOneShotReach:
             stage.process_block(x)
         stage.reset()
         assert stage.run(x[:300]).shape == (300,)
+
+
+class TestWholeFrameTransform:
+    """A one-shot frame runs one circular convolution when it is smaller.
+
+    ``process`` builds its spectral stage for frames of up to
+    ``N = next_pow2(n)`` samples; the stage runs the frame as one
+    ``next_pow2(N + max(precursor, postcursor))``-point circular
+    convolution whenever that is no larger than its overlap-save
+    transform.  The oracle is the full-kernel overlap-save streaming
+    chain, as in :class:`TestOneShotReach`.  The frames run from one
+    sample to 4,096, so the ideal and MIMO kernels (~8,000 taps) are
+    longer than every frame and the decomposed kernel (~500 taps)
+    shorter than most.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(),
+           kind=st.sampled_from(["ideal", "decomposed", "mimo", "mimo-k1"]),
+           cfo_hz=st.sampled_from([0.0, 1.3e3]))
+    def test_matches_full_kernel_stream(self, links, data, kind, cfo_hz):
+        relay, _ = links[kind]
+        frame = data.draw(st.sampled_from([1, 2, 64, 256, 1024, 4096]))
+        n = data.draw(st.integers(frame // 2 + 1, frame))    # bucket
+        stage = _cnf_stage(relay._memoised_chain(FS, cfo_hz, n))
+        kernel = stage.kernel
+        assert (stage.fft_size, stage.hop) == (
+            next_pow2(frame + max(kernel.precursor, kernel.postcursor)),
+            frame)
+        rng = np.random.default_rng(n)
+        shape = (n,) if kind in ("ideal", "decomposed") \
+            else (relay._mimo_f0.shape[1], n)
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        chain = relay.make_chain(cfo_hz=cfo_hz, block_size=1024)
+        chain.reset()
+        reference = _stream(chain, x, [1024])
+        assert _max_rel_err(relay.process(x, cfo_hz=cfo_hz),
+                            reference) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(pre=st.integers(0, 40), post=st.integers(0, 40),
+           n=st.integers(1, 60), seed=st.integers(0, 2**16),
+           pow2=st.booleans())
+    def test_circular_layout_is_aligned_linear_convolution(
+            self, pre, post, n, seed, pow2):
+        # The layout behind the rule, on asymmetric kernels (the
+        # designed ones are symmetric, so the relay cannot tell max
+        # from min): an n-sample frame comes out of one circular
+        # convolution aligned and unaliased once the transform holds
+        # n + max(precursor, postcursor) points.
+        from repro.runtime.kernels import SpectralKernel
+
+        rng = np.random.default_rng(seed)
+        fir = rng.normal(size=pre + post + 1) \
+            + 1j * rng.normal(size=pre + post + 1)
+        kernel = SpectralKernel(fir=fir, precursor=pre, sample_rate_hz=FS)
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        size = max(n + max(pre, post), kernel.length)
+        if pow2:
+            size = next_pow2(size)
+        y = np.fft.ifft(np.fft.fft(x, size)
+                        * kernel.circular_spectrum(size))[:n]
+        reference = np.convolve(x, fir)[pre:pre + n]
+        assert np.max(np.abs(y - reference)) \
+            <= 1e-12 * np.max(np.abs(reference))
+
+    def test_any_chunking_of_the_frame(self, links):
+        relay, _ = links["ideal"]
+        response_fn = relay._siso_response_fn()
+        stage = FrequencyResponseStage(response_fn, FS, block_size=300,
+                                       frame_samples=300)
+        assert stage.hop == 300
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=300) + 1j * rng.normal(size=300)
+        whole = stage.run(x)
+        stage.reset()
+        parts = [stage.process_block(b) for b in _chunks(x, [1, 7, 97])]
+        assert all(p.shape == (0,) for p in parts)
+        assert np.array_equal(stage.flush(), whole)
+        assert stage.flush().shape == (0,)
+
+    def test_service_bucket_runs_a_512_point_transform(self):
+        from repro.service.scheduler import ChainPool
+
+        relay = ChainPool(seed=2014).entry("chain-0").relay
+        assert relay._decomposition is None          # an ideal SISO link
+        stage = _cnf_stage(relay._memoised_chain(FS, 0.0, 256))
+        assert (stage.fft_size, stage.hop) == (512, 256)
+
+    def test_long_decomposed_frame_keeps_overlap_save(self, links):
+        relay, _ = links["decomposed"]
+        stage = _cnf_stage(relay._memoised_chain(FS, 0.0, 16384))
+        length = stage.kernel.length
+        assert length < 2000
+        assert stage.fft_size == next_pow2(max(2 * length,
+                                               length - 1 + 4096))
+        assert stage.hop == stage.fft_size - (length - 1)
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=16384) + 1j * rng.normal(size=16384)
+        chain = relay.make_chain(block_size=4096)
+        chain.reset()
+        assert _max_rel_err(relay.process(x),
+                            _stream(chain, x, [4096])) <= 1e-12

@@ -17,7 +17,13 @@ from repro.service import (
     run_loadtest,
     run_once,
 )
-from repro.service.session import SessionState
+from repro.service.scheduler import (
+    ChainPool,
+    SchedulerPolicy,
+    ServiceScheduler,
+)
+from repro.service.server import PumpConfig, ServicePump
+from repro.service.session import ClientSession, SessionState, TrafficConfig
 from repro.telemetry.collector import TelemetryCollector, use_collector
 
 
@@ -73,6 +79,80 @@ class TestPump:
         reasons = {e.detail["reason"] for e in sched.events
                    if e.kind.value == "shed"}
         assert reasons <= {"queue-full", "half-duplex", "drain"}
+
+
+class _FullScanPump(ServicePump):
+    """The pump as it ticked before: every session visited every tick."""
+
+    def step(self, now_s=None):
+        now_s = self.now_s if now_s is None else float(now_s)
+        sched = self.scheduler
+        sounding_s = sched.policy.sounding_s
+        for i, session in enumerate(self.sessions):
+            start = session.traffic.start_s
+            if (session.state is SessionState.PENDING
+                    and now_s >= start - sounding_s):
+                sched.admit_session(session, now_s)
+            if (session.state is SessionState.SOUNDING
+                    and now_s >= start):
+                session.activate(now_s)
+            if session.state is SessionState.ACTIVE:
+                arrivals = self._arrivals[i]
+                while (self._cursors[i] < len(arrivals)
+                       and arrivals[self._cursors[i]] <= now_s):
+                    sched.offer(now_s, session, self._cursors[i])
+                    self._cursors[i] += 1
+        served = sched.dispatch(now_s,
+                                max_frames=self.config.capacity_per_tick)
+        self._sample_series(now_s)
+        self._maybe_observe(now_s)
+        self.now_s = now_s + self.config.tick_s
+        self.ticks += 1
+        return served
+
+
+class TestPumpVisitsDueSessionsOnly:
+    """A tick visits the sessions with something due, in session order.
+
+    The oracle pump visits every session every tick.  Staggered starts
+    keep sessions waiting to be admitted and activated while others
+    offer; the admission cap rejects some; a tight dispatch budget and
+    a drain mid-run leave arrivals unoffered.
+    """
+
+    @staticmethod
+    def _run(pump_cls):
+        sessions = [ClientSession(
+            f"s{i:02d}", tenant=f"t{i % 3}", chain_key=f"c{i % 2}",
+            traffic=TrafficConfig(
+                model=("poisson", "cbr")[i % 2], rate_fps=60.0 + 7 * i,
+                frame_samples=64, start_s=0.013 * (i % 5),
+                duration_s=0.15), seed=100 + i)
+            for i in range(14)]
+        scheduler = ServiceScheduler(
+            SchedulerPolicy(max_sessions=10, queue_high_water=4),
+            pool=ChainPool(seed=3))
+        pump = pump_cls(scheduler, sessions,
+                        config=PumpConfig(capacity_per_tick=2))
+        tel = TelemetryCollector()
+        with use_collector(tel):
+            for _ in range(20):
+                pump.step()
+            sessions[1].drain(pump.now_s)      # arrivals left unoffered
+            pump.run()
+        return pump, tel
+
+    def test_same_events_as_a_full_scan(self):
+        pump, tel = self._run(ServicePump)
+        ref, ref_tel = self._run(_FullScanPump)
+        assert pump.scheduler.rejected_sessions > 0
+        assert pump.scheduler.events == ref.scheduler.events
+        assert [s.events for s in pump.sessions] \
+            == [s.events for s in ref.sessions]
+        assert tel.deterministic_snapshot() == ref_tel.deterministic_snapshot()
+        assert pump.slo_engine.alert_stream() \
+            == ref.slo_engine.alert_stream()
+        assert pump.ticks == ref.ticks
 
 
 class TestService:

@@ -90,6 +90,31 @@ class TestTraffic:
         assert arr.min() >= 1.0
         assert arr.max() <= 1.5
 
+    @pytest.mark.parametrize("seed", [0, 9, 2**32 - 1, 2**32,
+                                      701_021 * 100_003 + 5, 2**64 + 3])
+    @pytest.mark.parametrize("samples", [1, 256])
+    def test_frames_equal_the_tuple_seeded_two_draw_original(self, seed,
+                                                             samples):
+        # The generator is seeded from uint32 words and draws both parts
+        # at once; the stream must be the (seed, 0xF4A3, index) tuple
+        # seed's, drawn real parts first.
+        def original(index):
+            rng = np.random.default_rng((seed, 0xF4A3, int(index)))
+            x = (rng.standard_normal(samples)
+                 + 1j * rng.standard_normal(samples))
+            return x / np.sqrt(2.0)
+
+        s = ClientSession("s", seed=seed,
+                          traffic=TrafficConfig(frame_samples=samples))
+        for index in (0, 1, 255, 2**32 + 7):
+            assert np.array_equal(s.frame(index), original(index))
+
+    def test_negative_seed_refused_like_seed_sequence(self):
+        with pytest.raises(ValueError):
+            np.random.default_rng((-1, 0xF4A3, 0))
+        with pytest.raises(ValueError):
+            ClientSession("s", seed=-1).frame(0)
+
     def test_frames_unit_power_and_deterministic(self):
         s = ClientSession("s", seed=9)
         f1, f2 = s.frame(4), s.frame(4)

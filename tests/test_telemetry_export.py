@@ -1,6 +1,10 @@
 """Exporters and validators: JSONL, summary tables, Chrome traces."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -188,6 +192,23 @@ class TestValidateCli:
     def test_requires_an_input(self):
         with pytest.raises(SystemExit):
             validate_main([])
+
+    def test_module_runs_once_under_python_m(self, tmp_path):
+        # The package must not import the module `python -m` executes,
+        # or runpy warns and the validator's module body runs twice.
+        tel = TelemetryCollector(origin="service")
+        with tel.span("relay.process", mode="siso"):
+            tel.counter("service.frames.admitted", tenant="t").inc()
+        jsonl = tmp_path / "run.jsonl"
+        write_jsonl(tel, jsonl)
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "repro.telemetry.validate", str(jsonl)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "OK" in proc.stdout
 
 
 class TestPrefixGate:
